@@ -11,7 +11,7 @@
 
 #include "bench_util.h"
 #include "rpeq/parser.h"
-#include "spex/multi_query.h"
+#include "spex/engine.h"
 #include "xml/generators.h"
 
 namespace spex {
@@ -100,7 +100,7 @@ int main() {
     int naive_deg, shared_deg;
     {
       std::vector<std::unique_ptr<CountingResultSink>> sinks;
-      MultiQueryEngine mq;
+      SpexEngine mq;
       for (const std::string& p : profiles) {
         sinks.push_back(std::make_unique<CountingResultSink>());
         mq.AddQuery(p, sinks.back().get());

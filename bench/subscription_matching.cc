@@ -1,6 +1,6 @@
 // Subscription matching at scale (DESIGN.md §14): a standing population of
 // N generated subscriber profiles evaluated against DMOZ-style documents,
-// shared (one CSE-merged DAG via MultiQueryTemplate — the spexserve
+// shared (one CSE-merged DAG via QueryTemplate — the spexserve
 // subscription-mode shape) vs unshared (N independent SpexEngines, one per
 // subscriber).  Reports events/sec and matches/sec per population size.
 //
@@ -27,7 +27,6 @@
 #include "bench_util.h"
 #include "rpeq/parser.h"
 #include "spex/engine.h"
-#include "spex/multi_query.h"
 #include "xml/generators.h"
 
 namespace spex {
@@ -78,14 +77,14 @@ ModeResult RunShared(const std::vector<std::string>& population,
                      const std::vector<Batch>& docs) {
   ModeResult out;
   out.name = "subscription_shared_n" + std::to_string(population.size());
-  StatusOr<std::shared_ptr<const MultiQueryTemplate>> mq_template =
-      MultiQueryTemplate::Build(population);
+  StatusOr<std::shared_ptr<const QueryTemplate>> mq_template =
+      QueryTemplate::Build(population);
   if (!mq_template.ok()) {
     std::fprintf(stderr, "bad population: %s\n",
                  mq_template.status().message().c_str());
     std::exit(1);
   }
-  const MultiQueryTemplate& t = **mq_template;
+  const QueryTemplate& t = **mq_template;
   bench::Timer timer;
   for (const Batch& doc : docs) {
     std::vector<std::unique_ptr<CountingResultSink>> sinks;
@@ -94,7 +93,7 @@ ModeResult RunShared(const std::vector<std::string>& population,
       sinks.push_back(std::make_unique<CountingResultSink>());
       sink_ptrs.push_back(sinks.back().get());
     }
-    MultiQueryEngine mq(*mq_template, sink_ptrs);
+    SpexEngine mq(*mq_template, sink_ptrs);
     mq.OnEventBatch(doc.data(), doc.size());
     out.events += static_cast<int64_t>(doc.size());
     for (int i = 0; i < t.input_count(); ++i) {
@@ -168,8 +167,8 @@ int main(int argc, char** argv) {
                    static_cast<long long>(unshared.matches));
       return 1;
     }
-    StatusOr<std::shared_ptr<const MultiQueryTemplate>> t =
-        MultiQueryTemplate::Build(population);
+    StatusOr<std::shared_ptr<const QueryTemplate>> t =
+        QueryTemplate::Build(population);
     std::printf("%8d %8d %14.0f %14.0f %14.0f %8.2fx\n", n,
                 (*t)->slot_count(), shared.events_per_sec,
                 unshared.events_per_sec, shared.matches_per_sec,

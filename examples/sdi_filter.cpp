@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "spex/multi_query.h"
 #include "spex/spex.h"
 
 namespace {
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
   // The same profiles through ONE shared network (§IX multi-query
   // optimization): common prefixes are compiled once.
   std::vector<std::unique_ptr<spex::CountingResultSink>> sinks;
-  spex::MultiQueryEngine mq;
+  spex::SpexEngine mq;
   for (const auto& s : broker.subscribers()) {
     sinks.push_back(std::make_unique<spex::CountingResultSink>());
     mq.AddQuery(s->profile(), sinks.back().get());

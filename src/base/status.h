@@ -40,7 +40,7 @@ enum class StatusCode : unsigned char {
   // input problem.
   kInternal,
   // The operation was rejected because the object is not in the state the
-  // call requires (e.g. AddQuery on an already-finalized MultiQueryEngine).
+  // call requires (e.g. AddQuery on an already-finalized SpexEngine).
   // A caller bug, but a *detectable* one: the call is refused cleanly
   // instead of corrupting the object.
   kFailedPrecondition,

@@ -457,21 +457,11 @@ void NetServer::HandlePrepare(Conn* conn, const Frame& frame) {
     FailConnection(conn, parsed);
     return;
   }
-  Prepared entry;
+  // A population with no query line keeps this status.
+  StatusOr<std::shared_ptr<const QueryTemplate>> got =
+      Status::MalformedInput("empty subscription population");
   if (prepare.kind == PrepareFrame::kQuery) {
-    StatusOr<std::shared_ptr<const QueryTemplate>> got =
-        cache_->Get(prepare.text);
-    if (!got.ok()) {
-      // Compilation failure is a request failure, not a connection failure:
-      // report and keep serving.
-      ErrorFrame err;
-      err.code = got.status().code();
-      err.message = got.status().message();
-      SendFrame(conn, err.Encode());
-      return;
-    }
-    entry.single = got.value();
-    entry.slots = 1;
+    got = cache_->Get(prepare.text);
   } else {
     std::vector<std::string> queries;
     size_t start = 0;
@@ -481,30 +471,22 @@ void NetServer::HandlePrepare(Conn* conn, const Frame& frame) {
       if (end > start) queries.push_back(prepare.text.substr(start, end - start));
       start = end + 1;
     }
-    if (queries.empty()) {
-      ErrorFrame err;
-      err.code = StatusCode::kMalformedInput;
-      err.message = "empty subscription population";
-      SendFrame(conn, err.Encode());
-      return;
-    }
-    StatusOr<std::shared_ptr<const MultiQueryTemplate>> got =
-        cache_->GetMulti(queries);
-    if (!got.ok()) {
-      ErrorFrame err;
-      err.code = got.status().code();
-      err.message = got.status().message();
-      SendFrame(conn, err.Encode());
-      return;
-    }
-    entry.multi = got.value();
-    entry.slots = static_cast<uint32_t>(entry.multi->slot_count());
+    if (!queries.empty()) got = cache_->GetMulti(queries);
+  }
+  if (!got.ok()) {
+    // Compilation failure is a request failure, not a connection failure:
+    // report and keep serving.
+    ErrorFrame err;
+    err.code = got.status().code();
+    err.message = got.status().message();
+    SendFrame(conn, err.Encode());
+    return;
   }
   const uint32_t handle = conn->next_handle++;
-  conn->handles[handle] = std::move(entry);
   PreparedFrame ok;
   ok.handle = handle;
-  ok.slots = conn->handles[handle].slots;
+  ok.slots = static_cast<uint32_t>(got.value()->slot_count());
+  conn->handles[handle] = std::move(got).value();
   SendFrame(conn, ok.Encode());
 }
 
@@ -560,11 +542,7 @@ void NetServer::HandleStream(Conn* conn, const Frame& frame, int64_t now_ms) {
       shed_docs_->Increment();
     } else {
       // Admitted.
-      const Prepared& prepared = handle_it->second;
-      doc.subscription = prepared.multi != nullptr;
-      doc.session = doc.subscription
-                        ? pool_->OpenSubscriptions(prepared.multi)
-                        : pool_->OpenSession(prepared.single);
+      doc.session = pool_->OpenSession(handle_it->second);
       doc.sink = std::make_unique<RecordingEventSink>();
       doc.parser = std::make_unique<XmlParser>(doc.sink.get(), options_.parser);
       ++docs_in_flight_;
@@ -687,35 +665,20 @@ void NetServer::PumpCompletions(Conn* conn, int64_t now_ms) {
     session.Wait();  // done() is true: returns immediately
     uint64_t certain = 0;
     uint64_t total = 0;
-    if (doc.subscription) {
-      const MultiQueryTemplate* tpl = session.subscription_template();
-      for (int slot = 0; slot < tpl->slot_count(); ++slot) {
-        const std::vector<std::string>& results =
-            session.subscription_results(slot);
-        const int64_t slot_certain = session.subscription_certain_count(slot);
-        for (size_t i = 0; i < results.size(); ++i) {
-          ResultFrame rf;
-          rf.doc_id = doc.doc_id;
-          rf.slot = static_cast<uint32_t>(slot);
-          rf.certain = static_cast<int64_t>(i) < slot_certain ? 1 : 0;
-          rf.fragment = results[i];
-          SendFrame(conn, rf.Encode());
-        }
-        certain += static_cast<uint64_t>(slot_certain);
-        total += results.size();
-      }
-    } else {
-      const std::vector<std::string>& results = session.Wait();
-      const int64_t certain_count = session.certain_result_count();
+    for (int slot = 0; slot < session.query_template().slot_count(); ++slot) {
+      const std::vector<std::string>& results =
+          session.subscription_results(slot);
+      const int64_t slot_certain = session.subscription_certain_count(slot);
       for (size_t i = 0; i < results.size(); ++i) {
         ResultFrame rf;
         rf.doc_id = doc.doc_id;
-        rf.certain = static_cast<int64_t>(i) < certain_count ? 1 : 0;
+        rf.slot = static_cast<uint32_t>(slot);
+        rf.certain = static_cast<int64_t>(i) < slot_certain ? 1 : 0;
         rf.fragment = results[i];
         SendFrame(conn, rf.Encode());
       }
-      certain = static_cast<uint64_t>(certain_count);
-      total = results.size();
+      certain += static_cast<uint64_t>(slot_certain);
+      total += results.size();
     }
     const Status& status = session.status();
     if (status.ok()) {

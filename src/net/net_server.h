@@ -155,13 +155,6 @@ class NetServer {
   }
 
  private:
-  // One prepared handle: exactly one of the two templates is set.
-  struct Prepared {
-    std::shared_ptr<const QueryTemplate> single;
-    std::shared_ptr<const MultiQueryTemplate> multi;
-    uint32_t slots = 1;
-  };
-
   // One in-flight document on a connection.
   struct Doc {
     uint32_t handle = 0;
@@ -170,7 +163,6 @@ class NetServer {
     std::unique_ptr<RecordingEventSink> sink;
     std::unique_ptr<XmlParser> parser;
     int64_t first_stream_ms = 0;
-    bool subscription = false;
     // END_DOC processed or the document was aborted: the session is sealed
     // (or sealing) and the loop polls done() to emit the terminal frame.
     bool closed = false;
@@ -191,7 +183,9 @@ class NetServer {
     size_t out_bytes = 0;
     bool hello_done = false;
     uint32_t next_handle = 1;
-    std::unordered_map<uint32_t, Prepared> handles;
+    // Prepared handles: one template each (a query is a one-slot template).
+    std::unordered_map<uint32_t, std::shared_ptr<const QueryTemplate>>
+        handles;
     std::unordered_map<uint64_t, Doc> docs;  // key: handle<<32 | doc_id
     int64_t last_activity_ms = 0;
     bool eof = false;      // peer half-closed; finish pending docs, flush

@@ -6,9 +6,9 @@
 // carries the pre-registered instrument handles so publishing is a direct
 // increment — no name lookups on the hot path, ever.
 //
-// Ownership: the engine (SpexEngine / MultiQueryEngine) owns the observer
-// and stores a pointer in RunContext so downstream components (the output
-// transducer) can publish without knowing about the engine.
+// Ownership: the engine (SpexEngine) owns the observer and stores a pointer
+// in RunContext so downstream components (the output transducer) can
+// publish without knowing about the engine.
 
 #ifndef SPEX_OBS_OBSERVER_H_
 #define SPEX_OBS_OBSERVER_H_

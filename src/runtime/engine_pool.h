@@ -5,10 +5,11 @@
 // table).  The pool scales the system *horizontally* without touching that
 // invariant: N worker threads, each with a bounded MPSC task queue, and
 // every StreamSession — one document stream evaluated against one compiled
-// query — pinned to exactly one worker.  The session's engine is
-// constructed, driven and destroyed on that worker, so all thread-local
-// discipline from the single-threaded design carries over unchanged (and
-// the debug thread-affinity asserts of base/thread_check.h verify it).
+// query template (one query, or a population sharing one network) — pinned
+// to exactly one worker.  The session's engine is constructed, driven and
+// destroyed on that worker, so all thread-local discipline from the
+// single-threaded design carries over unchanged (and the debug
+// thread-affinity asserts of base/thread_check.h verify it).
 //
 // Data flow:
 //   * OpenSession(template) pins a session to a worker (round-robin).
@@ -113,7 +114,8 @@ struct PoolOptions {
   size_t flight_frames = 32;
 };
 
-// One document stream evaluated against one compiled query on one pool
+// One document stream evaluated against one QueryTemplate — a single query
+// or a whole standing population (K slots, DESIGN.md §14) — on one pool
 // worker.  Created by EnginePool::OpenSession; thread-safe for a single
 // producer (Feed/Close/Abort from one thread at a time) plus any number of
 // Wait()ers.  Sessions must be Close()d and must not outlive the pool.
@@ -160,9 +162,10 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   // Blocks until the worker has processed every batch of this session
   // (requires Close() first — Wait on an open session waits for it; a
   // quarantined session releases waiters at quarantine time), then returns
-  // the serialized result fragments in document order.  On a failed or
-  // truncated session these are the structured partials: the first
-  // certain_result_count() fragments are exact, the rest speculative.
+  // slot 0's serialized result fragments in document order (all of them for
+  // a one-query session; subscription_results has every slot).  On a failed
+  // or truncated session these are the structured partials: the first
+  // subscription_certain_count(0) fragments are exact, the rest speculative.
   const std::vector<std::string>& Wait();
 
   // True once the worker has sealed and published the run — Wait() is then
@@ -176,34 +179,32 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   // Valid after Wait() returned: kOk, or the first failure that poisoned
   // the session (engine breach, Abort status, pool shutdown kCancelled).
   const Status& status() const { return status_; }
-  // Valid after Wait(): results known exact (prefix of Wait()'s vector).
+  // Valid after Wait(): results known exact, summed over the slots (for one
+  // query, the exact prefix of Wait()'s vector).
   int64_t certain_result_count() const { return certain_results_; }
   // Valid after Wait(): true when the run was sealed before end-of-stream.
   bool truncated() const { return truncated_; }
 
-  // Valid after Wait() returned.
+  // Valid after Wait() returned; summed over the slots.
   int64_t result_count() const { return result_count_; }
   const RunStats& stats() const { return stats_; }
 
-  // --- Subscription mode (EnginePool::OpenSubscriptions, DESIGN.md §14) ---
-  // True when this session evaluates a whole standing query population
-  // (MultiQueryTemplate) instead of a single query.  Wait()'s flat result
-  // vector stays empty then; per-query results come from the slot accessors
-  // below (slot indices are the template's sorted-canonical slots).
-  bool subscription() const { return multi_template_ != nullptr; }
-  const MultiQueryTemplate* subscription_template() const {
-    return multi_template_.get();
-  }
+  // The session's template; slot indices below are its sorted-canonical
+  // slots.
+  const QueryTemplate& query_template() const { return *template_; }
   // Valid after Wait(): serialized fragments of slot `slot`, document order.
   const std::vector<std::string>& subscription_results(int slot) const;
   // Valid after Wait(): the certain prefix length of slot `slot`'s results.
   int64_t subscription_certain_count(int slot) const;
+  // Kept only for the wire benchmark (wirebench/): true for a population of
+  // more than one slot.
+  bool subscription() const { return template_->slot_count() > 1; }
 
-  // Canonical query text of a single-query session; a synthesized
-  // "multi:<digest>[<slots>]" label for a subscription session.
+  // Canonical query text of a one-slot session; a synthesized
+  // "multi:<digest>[<slots>]" label for a population.
   const std::string& query() const {
-    return query_template_ != nullptr ? query_template_->canonical_text()
-                                      : multi_label_;
+    return template_->slot_count() == 1 ? template_->slot_text(0)
+                                        : multi_label_;
   }
   int worker() const { return worker_; }
   // Pool-unique session id (assigned at open, stable for the session's
@@ -221,15 +222,12 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   // flight-ring capacity).
   StreamSession(EnginePool* pool, int worker,
                 std::shared_ptr<const QueryTemplate> query_template);
-  // Subscription-mode session over a standing population.
-  StreamSession(EnginePool* pool, int worker,
-                std::shared_ptr<const MultiQueryTemplate> mq_template);
 
   // Worker-side: lazily builds the engine (first batch), feeds events,
   // captures results + stats and destroys the engine (close task).  Only
-  // the pinned worker thread touches engine_/sink_.  Detects engine failure
-  // after the batch and quarantines (finalizes early); exceptions escaping
-  // the network are caught and become kInternal.
+  // the pinned worker thread touches engine_/slot_sinks_.  Detects engine
+  // failure after the batch and quarantines (finalizes early); exceptions
+  // escaping the network are caught and become kInternal.
   void ProcessBatch(const EventBatch& batch, const EngineOptions& base);
   // Seals + publishes the run; idempotent.  `shutdown_fallback` is applied
   // only when the stream is incomplete and nothing else failed (the pool
@@ -238,13 +236,11 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
 
   EnginePool* pool_;
   const int worker_;
-  std::shared_ptr<const QueryTemplate> query_template_;
-  // Subscription mode: exactly one of query_template_ / multi_template_ is
-  // set.  The shared population template is immutable — a quarantined
-  // session tears down only its own engine instance; other sessions keep
-  // instantiating the same template untouched.
-  std::shared_ptr<const MultiQueryTemplate> multi_template_;
-  std::string multi_label_;  // "multi:<digest>[<slots>]" for query()
+  // The shared template is immutable — a quarantined session tears down
+  // only its own engine instance; other sessions keep instantiating the
+  // same template untouched.
+  std::shared_ptr<const QueryTemplate> template_;
+  std::string multi_label_;  // "multi:<digest>[<slots>]" for query(), K > 1
   // Assigned by OpenSession before the session is visible to anyone.
   int64_t session_id_ = 0;
   // Post-mortem ring of batch-boundary snapshots; worker-thread-only (same
@@ -256,12 +252,9 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   EngineLimits limits_override_;
   bool has_limits_override_ = false;
 
-  // Worker-thread-only run state.
-  std::unique_ptr<SerializingResultSink> sink_;
+  // Worker-thread-only run state (until Finalize publishes the harvested
+  // slot results under mu_).
   std::unique_ptr<SpexEngine> engine_;
-  // Subscription-mode run state (worker-thread-only until Finalize
-  // publishes the harvested slot results under mu_).
-  std::unique_ptr<MultiQueryEngine> mq_engine_;
   std::vector<std::unique_ptr<SerializingResultSink>> slot_sinks_;
   // True when the capture sink upgraded this session's engine options
   // (worker-thread-only); Finalize then offers the engine back to the sink
@@ -300,14 +293,13 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   bool done_ = false;
   Status abort_status_;  // producer-requested failure (Abort/Cancel)
   Status status_;
-  std::vector<std::string> results_;
   int64_t result_count_ = 0;
   int64_t certain_results_ = 0;
   bool truncated_ = false;
   RunStats stats_;
-  // Subscription mode: per-slot serialized results + certain prefix
-  // lengths, harvested at Finalize (sized slot_count at construction, so
-  // the accessors are safe even for sessions that were never fed).
+  // Per-slot serialized results + certain prefix lengths, harvested at
+  // Finalize (sized slot_count at construction, so the accessors are safe
+  // even for sessions that were never fed).
   std::vector<std::vector<std::string>> slot_results_;
   std::vector<int64_t> slot_certain_;
 };
@@ -323,7 +315,13 @@ class EnginePool {
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
 
-  // Pins a new session for `query_template` to a worker (round-robin).
+  // Pins a new session for `query_template` to a worker (round-robin).  A
+  // population template (subscription mode, DESIGN.md §14) evaluates one
+  // document stream against the whole standing population on its merged
+  // shared DAG — one delivery sweep per event batch, per-slot result
+  // collectors.  Every slot's canonical text is interned with the query
+  // registry, and Finalize reports one QueryRunRecord per slot, so
+  // per-query RED metrics flow exactly as for one-query sessions.
   std::shared_ptr<StreamSession> OpenSession(
       std::shared_ptr<const QueryTemplate> query_template);
   // Convenience: resolves the query text through `cache` first.  Null (and
@@ -335,15 +333,11 @@ class EnginePool {
   StatusOr<std::shared_ptr<StreamSession>> OpenSession(
       const std::string& query_text, CompiledQueryCache* cache);
 
-  // Subscription mode (DESIGN.md §14): pins a session that evaluates one
-  // document stream against the whole standing population of
-  // `mq_template` on a merged shared DAG — one delivery sweep per event
-  // batch, per-slot result collectors.  Every slot's canonical text is
-  // interned with the query registry, and Finalize reports one
-  // QueryRunRecord per slot, so per-query RED metrics flow exactly as for
-  // single-query sessions.
+  // Kept only for the wire benchmark (wirebench/): OpenSession.
   std::shared_ptr<StreamSession> OpenSubscriptions(
-      std::shared_ptr<const MultiQueryTemplate> mq_template);
+      std::shared_ptr<const QueryTemplate> query_template) {
+    return OpenSession(std::move(query_template));
+  }
 
   int threads() const { return static_cast<int>(workers_.size()); }
 

@@ -30,38 +30,53 @@ StatusOr<std::shared_ptr<const QueryTemplate>> CompiledQueryCache::Get(
 
 std::shared_ptr<const QueryTemplate> CompiledQueryCache::GetFor(
     const Expr& query, std::string* error) {
-  const std::string key = query.ToString();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      // Refresh recency: move the entry to the front of the LRU list.
-      lru_.splice(lru_.begin(), lru_, it->second);
-      hits_.Increment();
-      return it->second->query_template;
-    }
-  }
+  const std::string key = QueryTemplate::DigestOf(query.ToString());
+  if (std::shared_ptr<const QueryTemplate> hit = Lookup(key)) return hit;
   // Build outside the lock: validation + trial compile are the expensive
   // part, and concurrent misses on the same key are harmless (both build,
   // one wins the insert, both results are equivalent immutable templates).
   std::shared_ptr<const QueryTemplate> built = QueryTemplate::Build(query,
                                                                     error);
   if (built == nullptr) return nullptr;
-  misses_.Increment();
-  return Insert(std::move(built));
+  return Insert(key, std::move(built));
+}
+
+StatusOr<std::shared_ptr<const QueryTemplate>> CompiledQueryCache::GetMulti(
+    const std::vector<std::string>& query_texts) {
+  // Digest first (parse + canonicalize, no trial compile) so a resident
+  // population is a pure lookup.
+  StatusOr<std::string> digest = QueryTemplate::CanonicalDigest(query_texts);
+  if (!digest.ok()) return digest.status();
+  if (std::shared_ptr<const QueryTemplate> hit = Lookup(*digest)) return hit;
+  StatusOr<std::shared_ptr<const QueryTemplate>> built =
+      QueryTemplate::Build(query_texts);
+  if (!built.ok()) return built.status();
+  return Insert(*digest, std::move(built).value());
+}
+
+std::shared_ptr<const QueryTemplate> CompiledQueryCache::Lookup(
+    const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  // Refresh recency: move the entry to the front of the LRU list.
+  lru_.splice(lru_.begin(), lru_, it->second);
+  hits_.Increment();
+  return it->second->query_template;
 }
 
 std::shared_ptr<const QueryTemplate> CompiledQueryCache::Insert(
-    std::shared_ptr<const QueryTemplate> t) {
+    const std::string& key, std::shared_ptr<const QueryTemplate> t) {
+  misses_.Increment();
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(t->canonical_text());
+  auto it = index_.find(key);
   if (it != index_.end()) {
     // Lost a build race: keep the resident entry, drop ours.
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->query_template;
   }
-  lru_.push_front(Entry{t->canonical_text(), t});
-  index_.emplace(t->canonical_text(), lru_.begin());
+  lru_.push_front(Entry{key, t});
+  index_.emplace(key, lru_.begin());
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
@@ -70,47 +85,9 @@ std::shared_ptr<const QueryTemplate> CompiledQueryCache::Insert(
   return t;
 }
 
-StatusOr<std::shared_ptr<const MultiQueryTemplate>>
-CompiledQueryCache::GetMulti(const std::vector<std::string>& query_texts) {
-  // Digest first (parse + canonicalize, no trial compile) so a resident
-  // population is a pure lookup.
-  StatusOr<std::string> digest = MultiQueryTemplate::CanonicalDigest(
-      query_texts);
-  if (!digest.ok()) return digest.status();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = multi_index_.find(*digest);
-    if (it != multi_index_.end()) {
-      multi_lru_.splice(multi_lru_.begin(), multi_lru_, it->second);
-      hits_.Increment();
-      return it->second->mq_template;
-    }
-  }
-  // Build outside the lock, race-tolerant insert — same discipline as the
-  // single-query side.
-  StatusOr<std::shared_ptr<const MultiQueryTemplate>> built =
-      MultiQueryTemplate::Build(query_texts);
-  if (!built.ok()) return built.status();
-  misses_.Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = multi_index_.find(*digest);
-  if (it != multi_index_.end()) {
-    multi_lru_.splice(multi_lru_.begin(), multi_lru_, it->second);
-    return it->second->mq_template;
-  }
-  multi_lru_.push_front(MultiEntry{*digest, *built});
-  multi_index_.emplace(*digest, multi_lru_.begin());
-  while (multi_lru_.size() > capacity_) {
-    multi_index_.erase(multi_lru_.back().key);
-    multi_lru_.pop_back();
-    evictions_.Increment();
-  }
-  return *built;
-}
-
 size_t CompiledQueryCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size() + multi_lru_.size();
+  return lru_.size();
 }
 
 void CompiledQueryCache::RegisterCollectors(

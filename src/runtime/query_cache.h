@@ -3,7 +3,9 @@
 // Production traffic repeats queries: many sessions, few distinct query
 // texts.  The cache canonicalizes rpeq text (parse → round-trip syntax, so
 // "a . b", "(a.b)" and "a.b" are one entry), keeps the resulting immutable
-// QueryTemplates (see spex/compiler.h) under LRU eviction, and hands out
+// QueryTemplates (see spex/compiler.h) under LRU eviction keyed on the
+// sorted canonical-set digest — a single query is the population of one,
+// so Get("a") and GetMulti({"a"}) are one entry — and hands out
 // shared_ptr references that any number of sessions on any number of
 // threads instantiate concurrently.  Per-session instantiation stays cheap
 // (linear-time translation, Lemma V.1); what the cache de-duplicates is the
@@ -30,7 +32,6 @@
 #include "base/status.h"
 #include "obs/metrics.h"
 #include "spex/compiler.h"
-#include "spex/multi_query.h"
 
 namespace spex {
 
@@ -60,14 +61,11 @@ class CompiledQueryCache {
   std::shared_ptr<const QueryTemplate> GetFor(const Expr& query,
                                               std::string* error);
 
-  // Shared population template for a whole query set (subscription mode,
-  // DESIGN.md §14), keyed on the sorted canonical-set digest — so the same
-  // population in any registration order and any spelling is one entry,
-  // built (validated, CSE-merged, trial-compiled) once.  Failures
-  // (kMalformedInput naming the offending query) are not cached.  The
-  // population LRU shares this cache's capacity bound and hit/miss/eviction
-  // meters with the single-query side.
-  StatusOr<std::shared_ptr<const MultiQueryTemplate>> GetMulti(
+  // Shared template for a whole query set (subscription mode, DESIGN.md
+  // §14): the same population in any registration order and any spelling
+  // is one entry, built (validated, CSE-merged, trial-compiled) once.
+  // Failures (kMalformedInput naming the offending query) are not cached.
+  StatusOr<std::shared_ptr<const QueryTemplate>> GetMulti(
       const std::vector<std::string>& query_texts);
 
   size_t capacity() const { return capacity_; }
@@ -82,30 +80,26 @@ class CompiledQueryCache {
   void RegisterCollectors(obs::MetricRegistry* registry) const;
 
  private:
-  // LRU list, most recently used first; the map points into it.
+  // LRU list, most recently used first; the map points into it.  A
+  // 10k-query template and a single-query template are one entry each —
+  // the bound is on resident *artifacts*, not queries.
   struct Entry {
-    std::string key;  // canonical text
+    std::string key;  // sorted canonical-set digest
     std::shared_ptr<const QueryTemplate> query_template;
   };
 
-  // Population entries live in their own LRU (same capacity bound): a
-  // 10k-query template and a single-query template are one slot each — the
-  // bound is on resident *artifacts*, not queries.
-  struct MultiEntry {
-    std::string key;  // sorted canonical-set digest
-    std::shared_ptr<const MultiQueryTemplate> mq_template;
-  };
-
+  // The resident template under `key`, refreshed to most recent; null on a
+  // miss.  Counts the hit.
+  std::shared_ptr<const QueryTemplate> Lookup(const std::string& key);
+  // Inserts a freshly built template under `key` (a lost build race keeps
+  // the resident entry) and evicts beyond capacity.
   std::shared_ptr<const QueryTemplate> Insert(
-      std::shared_ptr<const QueryTemplate> t);
+      const std::string& key, std::shared_ptr<const QueryTemplate> t);
 
   const size_t capacity_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::list<MultiEntry> multi_lru_;
-  std::unordered_map<std::string, std::list<MultiEntry>::iterator>
-      multi_index_;
   obs::AtomicCounter hits_;
   obs::AtomicCounter misses_;
   obs::AtomicCounter evictions_;

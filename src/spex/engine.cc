@@ -1,6 +1,7 @@
 #include "spex/engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -25,26 +26,70 @@ std::string RunStats::ToString() const {
   return out;
 }
 
-SpexEngine::SpexEngine(const Expr& query, ResultSink* sink,
-                       EngineOptions options)
+SpexEngine::SpexEngine(EngineOptions options)
     : context_(std::make_unique<RunContext>()) {
   context_->options = std::move(options);
-  compiled_ = CompileToNetwork(query, sink, context_.get());
-  query_text_ = query.ToString();
-  FinishInit();
+}
+
+SpexEngine::SpexEngine(const Expr& query, ResultSink* sink,
+                       EngineOptions options)
+    : SpexEngine(std::move(options)) {
+  own_graph_.Add(query);
+  sinks_.push_back(sink);
+  Finalize();
 }
 
 SpexEngine::SpexEngine(std::shared_ptr<const QueryTemplate> query_template,
-                       ResultSink* sink, EngineOptions options)
-    : context_(std::make_unique<RunContext>()),
-      template_(std::move(query_template)) {
-  context_->options = std::move(options);
-  compiled_ = template_->Instantiate(sink, context_.get());
-  query_text_ = template_->canonical_text();
-  FinishInit();
+                       const std::vector<ResultSink*>& slot_sinks,
+                       EngineOptions options)
+    : SpexEngine(std::move(options)) {
+  template_ = std::move(query_template);
+  assert(slot_sinks.size() == static_cast<size_t>(template_->slot_count()) &&
+         "one sink per template slot");
+  graph_ = &template_->graph();
+  sinks_ = slot_sinks;
+  // The template trial-compiled the population once; inherit the degree so
+  // per-session instantiation never re-runs N scratch compiles.
+  naive_degree_ = template_->naive_degree();
+  Finalize();
 }
 
-void SpexEngine::FinishInit() {
+SpexEngine::~SpexEngine() = default;
+
+StatusOr<int> SpexEngine::AddQuery(const Expr& query, ResultSink* sink) {
+  if (finalized_) {
+    return Status::FailedPrecondition(
+        "AddQuery after Finalize(): the network is already compiled");
+  }
+  std::string error;
+  if (!ValidateQuery(query, &error)) {
+    return Status::MalformedInput("invalid query: " + error);
+  }
+  own_queries_.push_back(query.Clone());
+  sinks_.push_back(sink);
+  naive_degree_ = -1;  // population changed; recompute on demand
+  return own_graph_.Add(*own_queries_.back());
+}
+
+StatusOr<int> SpexEngine::AddQuery(const std::string& query_text,
+                                   ResultSink* sink) {
+  ParseResult parsed = ParseRpeq(query_text);
+  if (!parsed.ok()) {
+    return Status::MalformedInput("query '" + query_text +
+                                  "': " + parsed.error);
+  }
+  return AddQuery(*parsed.expr, sink);
+}
+
+int SpexEngine::naive_degree() const {
+  if (naive_degree_ < 0) naive_degree_ = graph_->NaiveDegree();
+  return naive_degree_;
+}
+
+void SpexEngine::Finalize() {
+  assert(!finalized_);
+  finalized_ = true;
+  compiled_ = graph_->Compile(sinks_, context_.get());
   const EngineOptions& options = context_->options;
   if (options.profile) {
     profiler_ = std::make_unique<obs::ProfileAccumulator>(
@@ -64,14 +109,21 @@ void SpexEngine::FinishInit() {
   }
   // Pull collectors over state the components maintain unconditionally —
   // registered at every observe level so the registry (and ComputeStats,
-  // which reads it) always reflects the §V bounds.
+  // which reads it) always reflects the §V bounds.  A population labels
+  // each collector with its query id.
   RegisterNetworkCollectors(&context_->metrics, &compiled_.network);
-  RegisterOutputCollectors(&context_->metrics, compiled_.output, {});
+  const size_t outputs = compiled_.outputs.size();
+  for (size_t i = 0; i < outputs; ++i) {
+    RegisterOutputCollectors(
+        &context_->metrics, compiled_.outputs[i],
+        outputs == 1 ? obs::Labels{}
+                     : obs::Labels{{"query", std::to_string(i)}});
+  }
   RegisterContextCollectors(&context_->metrics, context_.get());
   context_->metrics.AddCallbackGauge(
       "spex_engine_events", {},
       [counter = &events_processed_] { return *counter; });
-  progress_enabled_ = context_->options.progress.enabled();
+  progress_enabled_ = options.progress.enabled();
   if (progress_enabled_) {
     next_progress_events_ = options.progress.every_events;
     next_progress_bytes_ = options.progress.every_bytes;
@@ -93,9 +145,8 @@ void SpexEngine::FinishInit() {
   last_watermark_time_ = run_start_;
 }
 
-SpexEngine::~SpexEngine() = default;
-
 void SpexEngine::OnEvent(const StreamEvent& event) {
+  assert(finalized_ && "Finalize() before feeding events");
   // The resource governor costs this one branch when disabled (DESIGN.md
   // §10), mirroring the observability contract below.
   if (!guarded_) [[likely]] {
@@ -106,6 +157,7 @@ void SpexEngine::OnEvent(const StreamEvent& event) {
 }
 
 void SpexEngine::OnEventBatch(const StreamEvent* events, size_t count) {
+  assert(finalized_ && "Finalize() before feeding events");
   if (count == 0) return;
   // One null-check per *batch* when no controller is attached; with one, a
   // thread-local increment and a relaxed load (see obs/sampling_profiler.h).
@@ -152,6 +204,10 @@ void SpexEngine::OnEventBatchUnsampled(const StreamEvent* events,
   GuardedBatch(events, count);
 }
 
+void SpexEngine::FlushOutputs() {
+  for (OutputTransducer* output : compiled_.outputs) output->Flush();
+}
+
 void SpexEngine::DeliverEventBatch(const StreamEvent* events, size_t count) {
   message_batch_.clear();
   message_batch_.reserve(count);
@@ -167,7 +223,7 @@ void SpexEngine::DeliverEventBatch(const StreamEvent* events, size_t count) {
     message_batch_.push_back(std::move(m));
   }
   if (saw_end && events[count - 1].kind != EventKind::kEndDocument) {
-    // </$> mid-batch: the per-event path flushes the output transducer at
+    // </$> mid-batch: the per-event path flushes the output transducers at
     // the end-document message, before anything that (bogusly) follows it.
     // Keep that exact on this cold path.
     message_batch_.clear();
@@ -192,7 +248,7 @@ void SpexEngine::DeliverEventBatch(const StreamEvent* events, size_t count) {
   }
   if (saw_end) {
     document_ended_ = true;
-    compiled_.output->Flush();
+    FlushOutputs();
   }
   // No end-of-round variable GC here: a batchable network creates no
   // condition variables, so retired_variables stays empty by construction.
@@ -262,7 +318,7 @@ void SpexEngine::ProcessEvent(const StreamEvent& event) {
   }
   if (event.kind == EventKind::kEndDocument) {
     document_ended_ = true;
-    compiled_.output->Flush();
+    FlushOutputs();
   }
   // End-of-round garbage collection: with eager updates, formulas referring
   // to a retired variable were rewritten while its determination propagated
@@ -312,7 +368,7 @@ void SpexEngine::GuardedOnEvent(const StreamEvent& event) {
   // *other* sessions' live nodes, which must not fail a finished run.
   if (document_ended_) return;
   if (limits.max_buffered_bytes > 0 &&
-      compiled_.output->buffered_bytes() > limits.max_buffered_bytes) {
+      buffered_bytes() > limits.max_buffered_bytes) {
     FailRun(Status::ResourceExhausted(
         "max_buffered_bytes exceeded (" +
         std::to_string(limits.max_buffered_bytes) + ")"));
@@ -330,14 +386,22 @@ void SpexEngine::GuardedOnEvent(const StreamEvent& event) {
 
 void SpexEngine::FailRun(Status status) {
   status_ = std::move(status);
-  // Everything fully emitted up to the breach is certain; fragments emitted
-  // later (by FinalizeTruncated's virtual closes) are speculative.
-  certain_results_ = result_count();
+  FreezeCertainResults();
+}
+
+void SpexEngine::FreezeCertainResults() {
+  // Everything fully emitted up to the breach is certain, per query;
+  // fragments emitted later (by FinalizeTruncated's virtual closes) are
+  // speculative.
+  certain_results_.resize(compiled_.outputs.size());
+  for (size_t i = 0; i < compiled_.outputs.size(); ++i) {
+    certain_results_[i] = compiled_.outputs[i]->result_count();
+  }
 }
 
 Status SpexEngine::FinalizeTruncated() {
   if (document_ended_) return status_;  // complete (or already sealed): no-op
-  if (certain_results_ < 0) certain_results_ = result_count();
+  if (certain_results_.empty()) FreezeCertainResults();
   truncated_ = true;
   if (events_processed_ == 0) {
     // Nothing was ever delivered; there is no open round to close.
@@ -356,7 +420,7 @@ Status SpexEngine::FinalizeTruncated() {
     close.label = label;
     ProcessEvent(close);
   }
-  ProcessEvent(StreamEvent::EndDocument());  // flushes OU, decides candidates
+  ProcessEvent(StreamEvent::EndDocument());  // flushes OUs, decides candidates
   guarded_ = was_guarded;
   return status_;
 }
@@ -412,10 +476,14 @@ Watermark SpexEngine::CurrentWatermark() const {
     last_watermark_time_ = now;
     last_watermark_events_ = events_processed_;
   }
-  w.results = result_count();
-  w.pending_fragments = compiled_.output->pending_candidates();
-  w.buffered_events = compiled_.output->buffered_events();
-  w.buffered_events_peak = compiled_.output->output_stats().buffered_events_peak;
+  w.results = total_result_count();
+  for (const OutputTransducer* output : compiled_.outputs) {
+    w.pending_fragments += output->pending_candidates();
+    w.buffered_events += output->buffered_events();
+    w.buffered_events_peak =
+        std::max(w.buffered_events_peak,
+                 output->output_stats().buffered_events_peak);
+  }
   w.live_formula_nodes = Formula::GetPoolStats().live;
   w.live_condition_vars = static_cast<int64_t>(context_->assignment.size());
   return w;
@@ -435,31 +503,75 @@ RunStats SpexEngine::ComputeStats() const {
       snap.MaxAll("spex_transducer_condition_stack_peak");
   stats.max_formula_nodes = snap.MaxAll("spex_transducer_formula_nodes_peak");
   stats.total_messages = snap.SumAll("spex_transducer_messages_in");
-  stats.output.candidates_created = snap.Value("spex_output_candidates_created");
-  stats.output.candidates_dropped = snap.Value("spex_output_candidates_dropped");
-  stats.output.candidates_emitted = snap.Value("spex_output_candidates_emitted");
-  stats.output.streamed_events = snap.Value("spex_output_streamed_events");
+  // Output stats sum (peaks: max) over every query's collector.
+  stats.output.candidates_created =
+      snap.SumAll("spex_output_candidates_created");
+  stats.output.candidates_dropped =
+      snap.SumAll("spex_output_candidates_dropped");
+  stats.output.candidates_emitted =
+      snap.SumAll("spex_output_candidates_emitted");
+  stats.output.streamed_events = snap.SumAll("spex_output_streamed_events");
   stats.output.buffered_events_peak =
-      snap.Value("spex_output_buffered_events_peak");
+      snap.MaxAll("spex_output_buffered_events_peak");
   stats.output.open_candidates_peak =
-      snap.Value("spex_output_open_candidates_peak");
+      snap.MaxAll("spex_output_open_candidates_peak");
   return stats;
 }
 
-obs::ProfileReport SpexEngine::Profile() const {
+obs::ProfileReport SpexEngine::BuildReport(
+    const obs::ProfileAccumulator* profiler) const {
+  std::string query;
+  for (int i = 0; i < graph_->query_count(); ++i) {
+    if (i > 0) query += "; ";
+    query += graph_->query(i).ToString();
+  }
   const obs::MetricsSnapshot snap = context_->metrics.Collect();
-  return BuildProfileReport(compiled_.network, query_text_, events_processed_,
-                            profiler_.get(),
+  return BuildProfileReport(compiled_.network, std::move(query),
+                            events_processed_, profiler,
                             snap.Value("spex_formula_pool_high_water"),
                             snap.Value("spex_formula_pool_allocs"));
 }
 
+obs::ProfileReport SpexEngine::Profile() const {
+  return BuildReport(profiler_.get());
+}
+
 obs::ProfileReport SpexEngine::SampledProfile() const {
-  const obs::MetricsSnapshot snap = context_->metrics.Collect();
-  return BuildProfileReport(compiled_.network, query_text_, events_processed_,
-                            sample_profiler_.get(),
-                            snap.Value("spex_formula_pool_high_water"),
-                            snap.Value("spex_formula_pool_allocs"));
+  return BuildReport(sample_profiler_.get());
+}
+
+int64_t SpexEngine::result_count(int query_id) const {
+  assert(query_id >= 0 && query_id < query_count());
+  return finalized_ ? compiled_.outputs[query_id]->result_count() : 0;
+}
+
+int64_t SpexEngine::certain_result_count(int query_id) const {
+  if (certain_results_.empty()) return result_count(query_id);
+  return certain_results_[query_id];
+}
+
+int64_t SpexEngine::total_result_count() const {
+  int64_t total = 0;
+  for (const OutputTransducer* output : compiled_.outputs) {
+    total += output->result_count();
+  }
+  return total;
+}
+
+int64_t SpexEngine::buffered_events() const {
+  int64_t total = 0;
+  for (const OutputTransducer* output : compiled_.outputs) {
+    total += output->buffered_events();
+  }
+  return total;
+}
+
+int64_t SpexEngine::buffered_bytes() const {
+  int64_t total = 0;
+  for (const OutputTransducer* output : compiled_.outputs) {
+    total += output->buffered_bytes();
+  }
+  return total;
 }
 
 const TransducerTrace* SpexEngine::trace(int node_id) const {

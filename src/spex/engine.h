@@ -1,15 +1,25 @@
 // SPEX evaluation engine: the public entry point of the library.
 //
-// Usage:
+// Usage, one query:
 //   spex::ExprPtr query = spex::MustParseRpeq("_*.a[b].c");
 //   spex::CollectingResultSink results;
 //   spex::SpexEngine engine(*query, &results);
 //   ... feed document messages (e.g. from spex::XmlParser) ...
 //   engine is an EventSink, so:  XmlParser parser(&engine); parser.Parse(xml);
 //
-// The engine compiles the query once (linear time, Lemma V.1) and then
-// processes each document message in a single pass through the transducer
-// network, emitting result fragments progressively.
+// Usage, a population (the paper's §IX outlook: "A single transducer
+// network can be used for processing several queries having common
+// subparts"):
+//   spex::SpexEngine engine;
+//   int a = engine.AddQuery("_*.item[urgent].headline", &sink_a).value();
+//   int b = engine.AddQuery("_*.item[urgent].body", &sink_b).value();
+//   // a and b share the `_*` spine AND the `[urgent]` sandwich.
+//   engine.Finalize();
+//   ... feed StreamEvents ...
+//
+// The engine compiles its queries once (linear time, Lemma V.1) into one
+// network and then processes each document message in a single pass
+// through it, emitting result fragments progressively.
 
 #ifndef SPEX_SPEX_ENGINE_H_
 #define SPEX_SPEX_ENGINE_H_
@@ -18,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/status.h"
@@ -61,25 +72,48 @@ struct RunStats {
   std::string ToString() const;
 };
 
+// One engine for one query or a population of K queries (DESIGN.md §14):
+// the hash-consed step DAG of StepGraph with one output collector per
+// query.  A single query is the population of one.
 class SpexEngine : public EventSink {
  public:
+  // An empty population: AddQuery each member, then Finalize().
+  explicit SpexEngine(EngineOptions options = {});
   // Compiles `query` into a network delivering results to `sink`.  Both the
   // query and the sink must outlive the engine.
   SpexEngine(const Expr& query, ResultSink* sink, EngineOptions options = {});
-  // As above, but instantiates a pre-built immutable QueryTemplate (shared
-  // with other sessions through runtime/query_cache.h); the engine keeps
-  // the template alive, so only the sink's lifetime is the caller's
-  // problem.  The network itself is instantiated fresh for this run —
-  // templates carry no run state and may be shared across threads.
+  // Instantiates a pre-built immutable QueryTemplate (shared with other
+  // sessions through runtime/query_cache.h) with one sink per template slot
+  // (sorted-canonical order; query id i == slot i).  The engine keeps the
+  // template alive, so only the sinks' lifetime is the caller's problem.
+  // The network itself is instantiated fresh for this run — templates carry
+  // no run state and may be shared across threads.  The engine arrives
+  // finalized: feed events immediately.
   SpexEngine(std::shared_ptr<const QueryTemplate> query_template,
-             ResultSink* sink, EngineOptions options = {});
+             const std::vector<ResultSink*>& slot_sinks,
+             EngineOptions options = {});
+  // As above for a one-slot template.
+  SpexEngine(std::shared_ptr<const QueryTemplate> query_template,
+             ResultSink* sink, EngineOptions options = {})
+      : SpexEngine(std::move(query_template), std::vector<ResultSink*>{sink},
+                   std::move(options)) {}
   ~SpexEngine() override;
 
   SpexEngine(const SpexEngine&) = delete;
   SpexEngine& operator=(const SpexEngine&) = delete;
 
+  // Registers a query (cloned); returns its id.  kMalformedInput when the
+  // query fails ValidateQuery; kFailedPrecondition after Finalize().
+  StatusOr<int> AddQuery(const Expr& query, ResultSink* sink);
+  // As above from rpeq text; parse errors are kMalformedInput, never abort.
+  StatusOr<int> AddQuery(const std::string& query_text, ResultSink* sink);
+
+  // Compiles the network.  No more queries can be added afterwards.
+  void Finalize();
+  bool finalized() const { return finalized_; }
+
   // Feeds one document message through the network.  On kEndDocument the
-  // output transducer is flushed and all remaining candidates decided.
+  // output transducers are flushed and all remaining candidates decided.
   //
   // Resource governance (DESIGN.md §10): when EngineOptions::limits is set,
   // every event passes the governor first; a breached limit poisons the run
@@ -94,10 +128,10 @@ class SpexEngine : public EventSink {
   // OnEvent calls at any batch size; the difference is cost.  For networks
   // without condition variables (CompiledNetwork::batchable) the whole
   // batch sweeps the network with one virtual dispatch and one stats flush
-  // per transducer (Network::DeliverBatch); everything else — qualifier /
-  // preceding-axis queries, observe=full runs, per-event byte limits — falls
-  // back to the exact per-event path internally.  The events must outlive
-  // the call (zero-copy borrowing at batch scope).
+  // per transducer (Network::DeliverBatch), governed or not; everything
+  // else — qualifier / preceding-axis queries, observe=full runs, per-event
+  // byte limits — falls back to the exact per-event path internally.  The
+  // events must outlive the call (zero-copy borrowing at batch scope).
   void OnEventBatch(const StreamEvent* events, size_t count) override;
 
   // kOk while the run is healthy; the breach status once the governor
@@ -106,7 +140,7 @@ class SpexEngine : public EventSink {
 
   // Seals an incomplete stream: virtually closes every open element (end
   // tags synthesized from the tracked open path) and delivers a virtual
-  // end-document so the output transducer decides every remaining candidate
+  // end-document so the output transducers decide every remaining candidate
   // under closed-world semantics.  Fragments fully emitted before the
   // truncation point are *certain* — byte-for-byte what any run over the
   // full stream would have emitted first (monotone formulas, document-order
@@ -123,23 +157,32 @@ class SpexEngine : public EventSink {
   // True iff FinalizeTruncated sealed this run.
   bool truncated() const { return truncated_; }
 
-  // Number of results emitted so far.
-  int64_t result_count() const { return compiled_.output->result_count(); }
+  int query_count() const { return graph_->query_count(); }
+  // Number of results query `query_id` emitted so far.
+  int64_t result_count(int query_id = 0) const;
+  // Results of `query_id` known to be exact: on a healthy run, all of them;
+  // after a governor breach or FinalizeTruncated, the fragments fully
+  // emitted before the truncation point.  The first certain_result_count()
+  // results of a collecting/serializing sink are the certain ones
+  // (document-order emission).
+  int64_t certain_result_count(int query_id = 0) const;
+  // Results emitted across the whole population.
+  int64_t total_result_count() const;
 
-  // Results known to be exact: on a healthy run, all of them; after a
-  // governor breach or FinalizeTruncated, the fragments fully emitted
-  // before the truncation point.  The first certain_result_count() results
-  // of a collecting/serializing sink are the certain ones (document-order
-  // emission).
-  int64_t certain_result_count() const {
-    return certain_results_ >= 0 ? certain_results_ : result_count();
-  }
+  // Output-buffer occupancy right now, summed over every query's collector:
+  // events held for undecided candidate fragments and their byte cost (the
+  // quantities the §V memory bounds and the governor's max_buffered_bytes
+  // limit speak about).
+  int64_t buffered_events() const;
+  int64_t buffered_bytes() const;
 
-  // Output-buffer occupancy right now: events held for undecided candidate
-  // fragments and their byte cost (the quantities the §V memory bounds and
-  // the governor's max_buffered_bytes limit speak about).
-  int64_t buffered_events() const { return compiled_.output->buffered_events(); }
-  int64_t buffered_bytes() const { return compiled_.output->buffered_bytes(); }
+  // Degree of the network vs. the sum of the degrees the queries would have
+  // as separate networks — the §IX sharing win.  naive_degree() trial-
+  // compiles each query on first call (cached; engines built from a
+  // QueryTemplate inherit the template's precomputed value).
+  int shared_degree() const { return compiled_.network.node_count(); }
+  int naive_degree() const;
+  int64_t events_processed() const { return events_processed_; }
 
   // Resource accounting.  Reads the observability registry (which exposes
   // the per-transducer stats at every observe level) and folds it into the
@@ -150,9 +193,9 @@ class SpexEngine : public EventSink {
   // obs/profile.h).  Timed (self-time shares, deliveries) when
   // options.profile was set; otherwise a static plan — provenance, predicted
   // cost classes, and whatever message counts have accrued.  Callable at any
-  // point of the stream.  report.query defaults to the compiled expression's
-  // round-trip syntax; callers holding the original query text (whose byte
-  // offsets the spans index) may overwrite it.
+  // point of the stream.  report.query defaults to the compiled queries'
+  // round-trip syntax ("; "-separated); callers holding the original query
+  // text (whose byte offsets the spans index) may overwrite it.
   obs::ProfileReport Profile() const;
 
   // Always-on statistical sampling (DESIGN.md §13): with a controller
@@ -174,8 +217,9 @@ class SpexEngine : public EventSink {
   obs::ProfileReport SampledProfile() const;
 
   // The run's live metrics registry (see obs/metrics.h).  Pull collectors
-  // over the network/output/formula-pool state are registered at every
-  // observe level; push instruments (spex_events_total, histograms) exist
+  // over the network/output/formula-pool state are registered at Finalize
+  // at every observe level (a population labels its output collectors
+  // query=<id>); push instruments (spex_events_total, histograms) exist
   // only when options.observe != kOff.
   obs::MetricRegistry& metrics() { return context_->metrics; }
   const obs::MetricRegistry& metrics() const { return context_->metrics; }
@@ -213,11 +257,11 @@ class SpexEngine : public EventSink {
   const TransducerTrace* trace(const std::string& name) const;
 
  private:
-  // OnEventBatch after the sampling draw (the whole pre-PR8 batch body).
+  // OnEventBatch after the sampling draw.
   void OnEventBatchUnsampled(const StreamEvent* events, size_t count);
   // Sampled batch: instrumented delivery into sample_profiler_.
   void SampleBatch(const StreamEvent* events, size_t count);
-  // The ungoverned per-event path (the pre-governor OnEvent body).
+  // The ungoverned per-event path.
   void ProcessEvent(const StreamEvent& event);
   // Governed per-event path: limit checks + open-path tracking around
   // ProcessEvent.  Entered only when guarded_ (limits or tracking on).
@@ -229,20 +273,28 @@ class SpexEngine : public EventSink {
   // one batch before any breach poisons the run — so exactly the events a
   // per-event run would have processed are processed.
   void GuardedBatch(const StreamEvent* events, size_t count);
-  // Poisons the run and freezes the certain-result boundary.
+  // Poisons the run and freezes the certain-result boundaries.
   void FailRun(Status status);
+  void FreezeCertainResults();
+  void FlushOutputs();
   // Cold path of OnEvent: delivery wrapped in metric/trace publication plus
   // watermark triggering.  Entered only when observation or progress is on.
   void OnEventObserved(const StreamEvent& event, Message message);
   void MaybeEmitProgress();
-  // Shared tail of both constructors, run after compiled_/query_text_ are
-  // set: traces, observability, collectors, progress plumbing.
-  void FinishInit();
+  obs::ProfileReport BuildReport(const obs::ProfileAccumulator* profiler) const;
 
   std::unique_ptr<RunContext> context_;
   // Non-null only for template-instantiated engines: keeps the shared
-  // template (and the Expr the network's provenance points into) alive.
+  // template (and the Exprs the network's provenance points into) alive.
   std::shared_ptr<const QueryTemplate> template_;
+  // The registered queries: own_graph_ (over own_queries_ clones) for an
+  // engine built query by query, the template's graph otherwise.
+  std::vector<ExprPtr> own_queries_;
+  StepGraph own_graph_;
+  const StepGraph* graph_ = &own_graph_;
+  std::vector<ResultSink*> sinks_;  // per query id
+  mutable int naive_degree_ = -1;   // lazily computed (see naive_degree())
+  bool finalized_ = false;
   CompiledNetwork compiled_;
   std::vector<std::unique_ptr<TransducerTrace>> traces_;
   std::unique_ptr<EngineObservability> obs_;  // non-null iff observe != kOff
@@ -252,14 +304,13 @@ class SpexEngine : public EventSink {
   obs::SamplingProfiler* sampler_ctl_ = nullptr;
   std::unique_ptr<obs::ProfileAccumulator> sample_profiler_;
   int64_t sampled_batches_ = 0;
-  std::string query_text_;  // round-trip syntax, for ProfileReport::query
   int64_t events_processed_ = 0;
   // True when OnEvent must take the governed path (limits configured or
   // track_open_elements): the unguarded hot path tests exactly this flag.
   bool guarded_ = false;
   // True when OnEventBatch may use Network::DeliverBatch: batchable network
   // and no per-delivery event spans (observe != kFull).  Computed once in
-  // FinishInit; false sends batches through the per-event loop.
+  // Finalize; false sends batches through the per-event loop.
   bool batch_path_ = false;
   // Reusable message buffer of the batch path; capacity circulates with the
   // network's pending buffers, so steady state allocates nothing.
@@ -270,8 +321,9 @@ class SpexEngine : public EventSink {
   // Interned labels of the currently open elements (governed runs only);
   // FinalizeTruncated synthesizes the virtual close tags from it.
   std::vector<Symbol> open_path_;
-  // Certain-result boundary; -1 = not truncated (everything certain).
-  int64_t certain_results_ = -1;
+  // Per-query certain-result boundary; empty = not truncated (everything
+  // certain).
+  std::vector<int64_t> certain_results_;
   // Wall-clock breach point when limits.deadline_ms is set.
   std::chrono::steady_clock::time_point deadline_{};
   // True when OnEvent must take the observed path (observe != kOff or

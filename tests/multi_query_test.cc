@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "query_gen.h"
 #include "rpeq/parser.h"
+#include "spex/compiler.h"
 #include "test_util.h"
 #include "xml/generators.h"
 
@@ -174,6 +176,57 @@ TEST(MultiQueryTest, AddQueryAfterFinalizeIsFailedPrecondition) {
   for (const StreamEvent& e : MustParseEvents(kPaperDoc)) mq.OnEvent(e);
   EXPECT_EQ(mq.result_count(0), 2);
   EXPECT_EQ(mq.query_count(), 1);
+}
+
+// A single query is the population of one: for every query the 525-pair
+// differential battery generates, the one-slot engine (built directly or
+// from a one-slot template) is exactly IN + NetworkBuilder::CompileExpr of
+// the whole query + OU — the same nodes in id order, the same degree.
+TEST(MultiQueryTest, OneSlotNetworkIsTheFig11Translation) {
+  const std::vector<std::pair<QueryGenKnobs, int>> configs = {
+      {QueryGenKnobs::Structural(), 4}, {QueryGenKnobs{}, 5},
+      {QueryGenKnobs::WithAxes(30), 4}, {QueryGenKnobs::Full(), 6},
+      {QueryGenKnobs::Full(), 8}};
+  int checked = 0;
+  for (size_t c = 0; c < configs.size(); ++c) {
+    for (int seed = 0; seed < 21; ++seed) {
+      QueryGen gen(static_cast<uint64_t>(seed) * 9176 + c * 77 + 1,
+                   configs[c].first);
+      for (int q = 0; q < 5; ++q) {
+        ExprPtr query = gen.Gen(configs[c].second);
+        SCOPED_TRACE("config=" + std::to_string(c) +
+                     " seed=" + std::to_string(seed) +
+                     " query=" + query->ToString());
+        RunContext context;
+        Network reference;
+        CountingResultSink sink;
+        NetworkBuilder builder(&reference, &context);
+        const int in = builder.AddInput(query.get());
+        builder.AddOutput(builder.CompileExpr(*query, in), &sink, query.get());
+
+        std::string error;
+        std::shared_ptr<const QueryTemplate> one_slot =
+            QueryTemplate::Build(*query, &error);
+        ASSERT_NE(one_slot, nullptr) << error;
+        SpexEngine direct(*query, &sink);
+        SpexEngine instantiated(one_slot, &sink);
+        for (SpexEngine* engine : {&direct, &instantiated}) {
+          ASSERT_EQ(engine->shared_degree(), reference.node_count());
+          EXPECT_EQ(engine->ComputeStats().network_degree,
+                    reference.node_count());
+          for (int i = 0; i < reference.node_count(); ++i) {
+            ASSERT_EQ(engine->network().node(i)->name(),
+                      reference.node(i)->name())
+                << "node " << i;
+          }
+        }
+        EXPECT_EQ(one_slot->shared_degree(), reference.node_count());
+        EXPECT_EQ(one_slot->naive_degree(), reference.node_count());
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 525);
 }
 
 }  // namespace

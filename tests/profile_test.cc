@@ -107,15 +107,8 @@ std::vector<StreamEvent> DmozEvents() {
       [](EventSink* s) { GenerateDmozLike(5, 0.001, false, s); });
 }
 
-TEST(ProfileTest, TimedReportInvariants) {
-  ExprPtr query = MustParseRpeq("_*.Topic[editor].Title");
-  EngineOptions options;
-  options.profile = true;
-  CountingResultSink sink;
-  SpexEngine engine(*query, &sink, options);
-  for (const StreamEvent& e : DmozEvents()) engine.OnEvent(e);
-  ASSERT_GT(sink.results(), 0);
-
+// The timed attribution invariants of an engine run with options.profile.
+void ExpectTimedReportInvariants(SpexEngine& engine) {
   const obs::ProfileReport report = engine.Profile();
   EXPECT_TRUE(report.timed);
   EXPECT_GT(report.total_self_ns, 0);
@@ -153,6 +146,48 @@ TEST(ProfileTest, TimedReportInvariants) {
     if (n.name == "IN") continue;  // injected directly, no incoming tape
     EXPECT_EQ(incoming[static_cast<size_t>(n.id)], n.messages_in) << n.name;
   }
+}
+
+TEST(ProfileTest, TimedReportInvariants) {
+  ExprPtr query = MustParseRpeq("_*.Topic[editor].Title");
+  EngineOptions options;
+  options.profile = true;
+  CountingResultSink sink;
+  SpexEngine engine(*query, &sink, options);
+  for (const StreamEvent& e : DmozEvents()) engine.OnEvent(e);
+  ASSERT_GT(sink.results(), 0);
+  ExpectTimedReportInvariants(engine);
+}
+
+// A population runs the same instruments as one query: the timed report
+// over the shared network keeps every invariant, and progress watermarks
+// fire.
+TEST(ProfileTest, PopulationTimedReportInvariants) {
+  EngineOptions options;
+  options.profile = true;
+  std::vector<Watermark> marks;
+  options.progress.every_events = 200;
+  options.progress.callback = [&marks](const Watermark& w) {
+    marks.push_back(w);
+  };
+  SpexEngine engine(options);
+  CountingResultSink sinks[3];
+  const char* queries[] = {"_*.Topic[editor].Title", "_*.Topic.Title",
+                           "_*.Topic[editor].newsGroup"};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.AddQuery(queries[i], &sinks[i]).ok());
+  }
+  engine.Finalize();
+  const std::vector<StreamEvent> events = DmozEvents();
+  for (const StreamEvent& e : events) engine.OnEvent(e);
+  ASSERT_GT(sinks[0].results(), 0);
+  ASSERT_GT(sinks[1].results(), 0);
+  ExpectTimedReportInvariants(engine);
+
+  ASSERT_FALSE(marks.empty());
+  EXPECT_EQ(marks.size(), events.size() / 200);
+  EXPECT_EQ(marks.front().events, 200);
+  EXPECT_LE(marks.back().results, engine.total_result_count());
 }
 
 TEST(ProfileTest, RenderingsAreWellFormed) {

@@ -131,7 +131,7 @@ TEST(QueryRegistryTest, IdSurvivesCompiledQueryCacheEviction) {
 }
 
 TEST(QueryRegistryTest, CanonicalizationMergesSpellings) {
-  // The pool records runs under QueryTemplate::canonical_text (parse →
+  // The pool records runs under QueryTemplate::slot_text (parse →
   // round-trip syntax), so a redundantly parenthesised spelling lands on the
   // same row as the plain one.
   PoolOptions pool_options;
@@ -147,7 +147,7 @@ TEST(QueryRegistryTest, CanonicalizationMergesSpellings) {
   auto b = cache.Get("(_*.title)", &error);
   ASSERT_NE(b, nullptr) << error;
   // Both spellings canonicalise to one text → one cache slot, one row.
-  ASSERT_EQ(a->canonical_text(), b->canonical_text());
+  ASSERT_EQ(a->slot_text(0), b->slot_text(0));
 
   const std::vector<StreamEvent> events = DocEvents();
   for (const char* q : {"_*.title", "(_*.title)"}) {
@@ -502,6 +502,38 @@ TEST(SamplingProfilerTest, SampledAttributionReachesRegistry) {
   EXPECT_NE(json.find("\"hot_nodes\": [{"), std::string::npos) << json;
   const std::string prom = registry.PrometheusText();
   EXPECT_NE(prom.find("spex_query_sampled_batches_total"), std::string::npos);
+}
+
+// A population session samples like any other, but its shared network
+// cannot be attributed to one slot: every slot gets a QueryRunRecord with
+// the per-query fields, and hot nodes stay on one-slot sessions.
+TEST(SamplingProfilerTest, PopulationRecordsOneRunPerSlotWithoutHotNodes) {
+  PoolOptions pool_options;
+  pool_options.threads = 1;
+  pool_options.sampling_period = 1;  // sample every batch
+  pool_options.engine.batch_size = 4;
+  EnginePool pool(pool_options);
+  QueryRegistry registry;
+  pool.SetQueryRegistry(&registry);
+
+  CompiledQueryCache cache(8);
+  StatusOr<std::shared_ptr<const QueryTemplate>> population = cache.GetMulti(
+      {"_*.book[author].title", "_*.book.title", "_*.author"});
+  ASSERT_TRUE(population.ok());
+  std::shared_ptr<StreamSession> session = pool.OpenSession(*population);
+  session->Feed(DocEvents());
+  session->Close();
+  session->Wait();
+  ASSERT_TRUE(session->status().ok());
+
+  EXPECT_EQ(registry.size(), 3u);
+  const std::string json = registry.ToJson();
+  for (int s = 0; s < (*population)->slot_count(); ++s) {
+    EXPECT_NE(json.find((*population)->slot_text(s)), std::string::npos)
+        << json;
+  }
+  EXPECT_EQ(json.find("\"hot_nodes\": [{"), std::string::npos) << json;
+  EXPECT_GT(pool.metrics().Collect().Value("spex_pool_sampled_batches"), 0);
 }
 
 // ---------------------------------------------------------------------------

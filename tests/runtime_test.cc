@@ -11,10 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/dom_evaluator.h"
 #include "runtime/engine_pool.h"
 #include "runtime/query_cache.h"
 #include "rpeq/parser.h"
 #include "spex/engine.h"
+#include "xml/dom.h"
 #include "xml/generators.h"
 #include "xml/xml_parser.h"
 
@@ -70,7 +72,7 @@ TEST(QueryCacheTest, EvictsLeastRecentlyUsed) {
   ASSERT_NE(cache.Get("b", &error), nullptr);
   EXPECT_EQ(cache.misses(), misses_before + 1);
   // The evicted template stayed usable through the caller's shared_ptr.
-  EXPECT_EQ(a->canonical_text(), "a");
+  EXPECT_EQ(a->slot_text(0), "a");
 }
 
 TEST(QueryCacheTest, FailuresAreReportedAndNotCached) {
@@ -105,7 +107,7 @@ TEST(QueryCacheTest, TemplateInstantiationMatchesDirectCompile) {
   EXPECT_EQ(template_sink.results(), direct_sink.results());
   EXPECT_EQ(from_template.ComputeStats().network_degree,
             direct.ComputeStats().network_degree);
-  EXPECT_EQ(t->network_degree(), direct.ComputeStats().network_degree);
+  EXPECT_EQ(t->shared_degree(), direct.ComputeStats().network_degree);
 }
 
 TEST(QueryCacheTest, ConcurrentGetsShareOneTemplate) {
@@ -474,6 +476,128 @@ TEST(EnginePoolTest, ShutdownCancelsIncompleteStreams) {
   EXPECT_TRUE(session->truncated());
   EXPECT_EQ(session->result_count(), 1);  // the virtually sealed <b>
   EXPECT_EQ(session->certain_result_count(), 0);
+}
+
+// The events a governed run consumes before `limits` (max_events /
+// max_depth) breach: the per-event governor's admission rule.
+std::vector<StreamEvent> ConsumedPrefix(const std::vector<StreamEvent>& events,
+                                        const EngineLimits& limits) {
+  std::vector<StreamEvent> prefix;
+  int depth = 0;
+  for (const StreamEvent& e : events) {
+    if (limits.max_events > 0 &&
+        static_cast<int64_t>(prefix.size()) >= limits.max_events) {
+      break;
+    }
+    if (e.kind == EventKind::kStartElement) {
+      if (limits.max_depth > 0 && depth >= limits.max_depth) break;
+      ++depth;
+    } else if (e.kind == EventKind::kEndElement) {
+      --depth;
+    }
+    prefix.push_back(e);
+  }
+  return prefix;
+}
+
+// DOM oracle over a consumed prefix, virtually closed (the closed-world
+// sealing FinalizeTruncated performs).
+std::vector<std::string> PrefixOracle(const Expr& query,
+                                      std::vector<StreamEvent> prefix) {
+  std::vector<std::string> open;
+  for (const StreamEvent& e : prefix) {
+    if (e.kind == EventKind::kStartElement) open.push_back(e.name);
+    if (e.kind == EventKind::kEndElement) open.pop_back();
+  }
+  if (prefix.empty() || prefix.back().kind != EventKind::kEndDocument) {
+    while (!open.empty()) {
+      prefix.push_back(StreamEvent::EndElement(open.back()));
+      open.pop_back();
+    }
+    prefix.push_back(StreamEvent::EndDocument());
+  }
+  Document dom;
+  std::string error;
+  EXPECT_TRUE(EventsToDocument(prefix, &dom, &error)) << error;
+  return DomEvaluateToStrings(query, dom);
+}
+
+// A governed population (every pool session tracks open elements) takes
+// the batch sweep: a qualifier-free three-query population under max_events
+// and max_depth limits gives every slot the same results, certain prefix
+// and breach status at batch size 1 and 64, and the sealed results are the
+// DOM oracle over the consumed prefix.
+TEST(EnginePoolTest, GovernedPopulationBatchSweepMatchesPerEvent) {
+  CompiledQueryCache cache(4);
+  StatusOr<std::shared_ptr<const QueryTemplate>> population =
+      cache.GetMulti({"_*.b", "a._", "_*.a.c"});
+  ASSERT_TRUE(population.ok()) << population.status().message();
+  const QueryTemplate& t = **population;
+  ASSERT_EQ(t.slot_count(), 3);
+
+  std::vector<EngineLimits> limit_cases(4);
+  limit_cases[0].max_events = 37;
+  limit_cases[1].max_depth = 3;
+  limit_cases[2].max_events = 90;
+  limit_cases[2].max_depth = 4;
+  limit_cases[3].max_events = 1 << 20;  // never breaches
+
+  struct Run {
+    Status status;
+    std::vector<std::vector<std::string>> results;
+    std::vector<int64_t> certain;
+  };
+  auto run = [&](int batch_size, const EngineLimits& limits,
+                 const std::vector<StreamEvent>& events) {
+    PoolOptions options;
+    options.threads = 1;
+    options.engine.batch_size = batch_size;
+    options.engine.limits = limits;
+    EnginePool pool(options);
+    std::shared_ptr<StreamSession> session = pool.OpenSession(*population);
+    session->Feed(events);
+    session->Close();
+    session->Wait();
+    Run out;
+    out.status = session->status();
+    for (int s = 0; s < t.slot_count(); ++s) {
+      out.results.push_back(session->subscription_results(s));
+      out.certain.push_back(session->subscription_certain_count(s));
+    }
+    return out;
+  };
+
+  int breached = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<StreamEvent> events = Doc(seed);
+    for (size_t c = 0; c < limit_cases.size(); ++c) {
+      const EngineLimits& limits = limit_cases[c];
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " limits#" + std::to_string(c));
+      const Run per_event = run(1, limits, events);
+      const Run batched = run(64, limits, events);
+      EXPECT_EQ(batched.status.code(), per_event.status.code());
+      EXPECT_EQ(batched.status.message(), per_event.status.message());
+      if (!per_event.status.ok()) ++breached;
+      const std::vector<StreamEvent> prefix = ConsumedPrefix(events, limits);
+      for (int s = 0; s < t.slot_count(); ++s) {
+        SCOPED_TRACE("slot=" + std::to_string(s) + " query=" + t.slot_text(s));
+        const size_t slot = static_cast<size_t>(s);
+        EXPECT_EQ(batched.results[slot], per_event.results[slot]);
+        EXPECT_EQ(batched.certain[slot], per_event.certain[slot]);
+        const std::vector<std::string> oracle =
+            PrefixOracle(t.slot_expr(s), prefix);
+        EXPECT_EQ(batched.results[slot], oracle);
+        ASSERT_LE(batched.certain[slot],
+                  static_cast<int64_t>(oracle.size()));
+        if (per_event.status.ok()) {
+          EXPECT_EQ(batched.certain[slot],
+                    static_cast<int64_t>(oracle.size()));
+        }
+      }
+    }
+  }
+  EXPECT_GT(breached, 0);  // the limits really cut streams short
 }
 
 TEST(QueryCacheTest, StatusOverloadClassifiesParseErrors) {

@@ -1,7 +1,6 @@
 // spexserve — concurrent multi-document query server (DESIGN.md §9).
 //
 //   spexserve --queries=FILE [--threads=N] DIR
-//   generator | spexserve --queries=FILE [--threads=N] --frames
 //   spexserve --subscriptions=SUBDIR [--threads=N] DIR
 //   spexserve --subscription-count=N [--threads=N] DIR
 //
@@ -13,10 +12,10 @@
 //
 // Subscription mode (DESIGN.md §14): instead of per-(document, query)
 // sessions, the whole query population becomes ONE standing
-// MultiQueryTemplate — a CSE-merged shared DAG cached by canonical-set
-// digest — and each document is one EnginePool subscription session
-// evaluated against it.  Output routes each document to its matching query
-// ids: one `<document>  sub#<slot>  <count>` line per slot with results.
+// QueryTemplate — a CSE-merged shared DAG cached by canonical-set digest —
+// and each document is one EnginePool session evaluated against it.
+// Output routes each document to its matching query ids: one
+// `<document>  sub#<slot>  <count>` line per slot with results.
 //   --subscriptions=SUBDIR   population from every file in SUBDIR (same
 //                            one-query-per-line format as --queries)
 //   --subscription-count=N   deterministic generated population of N
@@ -24,13 +23,6 @@
 //
 // Document sources:
 //   DIR                 every regular file in the directory (sorted by name)
-//   --frames[=FILE]     length-prefixed frame stream from FILE or stdin:
-//                       each frame is a 4-byte little-endian uint32 payload
-//                       length followed by that many bytes of XML.  A frame
-//                       whose declared length exceeds --max-frame is refused
-//                       with a structured ERROR(invalid_argument) line — the
-//                       payload is skipped in bounded chunks, never
-//                       allocated — and serving continues.
 //   --port=P            TCP serving tier (DESIGN.md §15): listen on
 //                       127.0.0.1:P (0 = ephemeral; the bound port is logged
 //                       as msg="tcp serving tier listening" port=P) speaking
@@ -81,8 +73,8 @@
 //                       session (see runtime/fault_injector.h)
 //   --chaos-rate=PCT    fraction of sessions faulted under --chaos
 //                       (default 50)
-//   --max-frame=BYTES   frame payload cap, for both --frames input and the
-//                       TCP wire protocol (default 16 MiB)
+//   --max-frame=BYTES   frame payload cap of the TCP wire protocol
+//                       (default 16 MiB)
 //
 // TCP tier tuning (with --port):
 //   --idle-ms=N         per-connection idle timeout, slow-loris defense
@@ -118,7 +110,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -131,7 +122,6 @@
 #include "runtime/engine_pool.h"
 #include "runtime/fault_injector.h"
 #include "runtime/query_cache.h"
-#include "spex/multi_query.h"
 #include "xml/xml_parser.h"
 
 namespace {
@@ -149,9 +139,7 @@ struct Options {
   bool subscription_mode() const {
     return !subscriptions_dir.empty() || subscription_count > 0;
   }
-  std::string directory;    // document directory (exclusive with frames)
-  bool frames = false;      // length-prefixed frame stream
-  std::string frames_file;  // empty = stdin
+  std::string directory;  // document directory
   int threads = 1;
   size_t queue_capacity = 64;
   size_t cache_capacity = 128;
@@ -180,7 +168,7 @@ struct Options {
   bool chaos = false;
   uint64_t chaos_seed = 0;
   int chaos_rate = 50;
-  // Frame payload cap, shared by the --frames reader and the TCP decoder.
+  // Frame payload cap of the TCP decoder.
   size_t max_frame_bytes = spex::net::kDefaultMaxFrameBytes;
   // TCP serving tier (--port): -1 = disabled, 0 = ephemeral.
   int net_port = -1;
@@ -210,7 +198,7 @@ int Usage() {
                "                 [--idle-ms=N] [--doc-deadline-ms=N]\n"
                "                 [--max-conns=N] [--max-docs=N]\n"
                "                 [--drain-grace-ms=N]\n"
-               "                 (DIR | --frames[=FILE] | --port=P)\n");
+               "                 (DIR | --port=P)\n");
   return 2;
 }
 
@@ -256,55 +244,6 @@ std::vector<std::string> MakeSubscriptions(int n) {
     out.push_back(std::move(q));
   }
   return out;
-}
-
-// Reads one length-prefixed frame; false on clean EOF, aborts the run (via
-// *error) on a truncated frame.  A frame whose declared length exceeds
-// `max_frame` never allocates: the payload is skipped in bounded chunks and
-// *refused carries the structured refusal (the caller reports an
-// ERROR(invalid_argument) line and keeps serving).
-bool ReadFrame(std::istream& in, size_t max_frame, std::string* payload,
-               std::string* error, std::string* refused) {
-  payload->clear();  // never leave a previous frame's bytes behind
-  refused->clear();
-  unsigned char header[4];
-  in.read(reinterpret_cast<char*>(header), 4);
-  if (in.gcount() == 0 && in.eof()) return false;
-  if (in.gcount() != 4) {
-    *error = "truncated frame header";
-    return false;
-  }
-  const uint32_t length = static_cast<uint32_t>(header[0]) |
-                          static_cast<uint32_t>(header[1]) << 8 |
-                          static_cast<uint32_t>(header[2]) << 16 |
-                          static_cast<uint32_t>(header[3]) << 24;
-  if (max_frame > 0 && length > max_frame) {
-    *refused = "frame length " + std::to_string(length) + " exceeds cap " +
-               std::to_string(max_frame);
-    char sink[64 * 1024];
-    uint64_t remaining = length;
-    while (remaining > 0) {
-      in.read(sink, static_cast<std::streamsize>(
-                        std::min<uint64_t>(remaining, sizeof(sink))));
-      if (in.gcount() <= 0) {
-        *error = *refused + ", then EOF inside the skipped payload";
-        return false;
-      }
-      remaining -= static_cast<uint64_t>(in.gcount());
-    }
-    return true;  // frame refused but the stream is still framed: continue
-  }
-  payload->resize(length);
-  in.read(payload->data(), static_cast<std::streamsize>(length));
-  if (in.gcount() != static_cast<std::streamsize>(length)) {
-    // Keep only what actually arrived: the caller evaluates the fragment
-    // as a truncated document rather than zero-padded garbage.
-    payload->resize(static_cast<size_t>(in.gcount()));
-    *error = "truncated frame payload (wanted " + std::to_string(length) +
-             " bytes, got " + std::to_string(payload->size()) + ")";
-    return false;
-  }
-  return true;
 }
 
 struct PendingSession {
@@ -389,7 +328,7 @@ class Server {
   }
 
   // Subscription mode: assemble the standing population and admit it as one
-  // MultiQueryTemplate through the cache (digest-keyed, so re-serving the
+  // QueryTemplate through the cache (digest-keyed, so re-serving the
   // same population — any order, any spelling — is a pure cache hit).
   bool LoadSubscriptions() {
     if (!options_.subscriptions_dir.empty()) {
@@ -425,7 +364,7 @@ class Server {
     } else {
       queries_ = MakeSubscriptions(options_.subscription_count);
     }
-    spex::StatusOr<std::shared_ptr<const spex::MultiQueryTemplate>> built =
+    spex::StatusOr<std::shared_ptr<const spex::QueryTemplate>> built =
         cache_.GetMulti(queries_);
     if (!built.ok()) {
       LogError("bad subscription population",
@@ -433,13 +372,13 @@ class Server {
                 {"error", built.status().message()}});
       return false;
     }
-    multi_template_ = std::move(built).value();
+    population_ = std::move(built).value();
     LogInfo("subscription population admitted",
             {{"subscriptions", static_cast<long long>(queries_.size())},
-             {"slots", multi_template_->slot_count()},
-             {"digest", multi_template_->digest()},
-             {"shared_degree", multi_template_->shared_degree()},
-             {"naive_degree", multi_template_->naive_degree()}});
+             {"slots", population_->slot_count()},
+             {"digest", population_->digest()},
+             {"shared_degree", population_->shared_degree()},
+             {"naive_degree", population_->naive_degree()}});
     return true;
   }
 
@@ -572,11 +511,11 @@ class Server {
     document_events_ += static_cast<int64_t>(events.size());
     auto batch = std::make_shared<const std::vector<spex::StreamEvent>>(
         std::move(events));
-    if (multi_template_ != nullptr) {
+    if (population_ != nullptr) {
       // Subscription mode: ONE session per document, evaluated against the
       // whole standing population on the merged shared DAG.
       std::shared_ptr<spex::StreamSession> session =
-          pool_.OpenSubscriptions(multi_template_);
+          pool_.OpenSession(population_);
       spex::EngineLimits limits = options_.limits;
       if (options_.chaos) {
         spex::FaultInjector::ApplyToLimits(plan, &limits);
@@ -636,12 +575,12 @@ class Server {
       }
       const std::vector<std::string>& results = p.session->Wait();
       total_results += p.session->result_count();
-      if (p.session->subscription()) {
+      if (population_ != nullptr) {
         // Route the document to its matching query ids: one line per
         // template slot with results, `-` when nothing matched.  A failed
         // session reports its ERROR line first, then whatever partial
         // routing was sealed.
-        const spex::MultiQueryTemplate* t = p.session->subscription_template();
+        const spex::QueryTemplate* t = &p.session->query_template();
         if (!p.session->status().ok()) {
           ++failed_sessions;
           std::printf("%s\t%s\tERROR(%s)\tcertain=%lld/%lld\t%s\n",
@@ -740,7 +679,7 @@ class Server {
   std::unique_ptr<spex::AdminServer> admin_;
   // Subscription mode: the standing population's shared template (null in
   // per-query mode).
-  std::shared_ptr<const spex::MultiQueryTemplate> multi_template_;
+  std::shared_ptr<const spex::QueryTemplate> population_;
   std::vector<std::string> queries_;
   std::vector<PendingSession> pending_;
   int64_t documents_ = 0;
@@ -832,11 +771,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
           options->metrics_format != "prom") {
         return false;
       }
-    } else if (arg == "--frames") {
-      options->frames = true;
-    } else if (const char* v = value("--frames=")) {
-      options->frames = true;
-      options->frames_file = v;
     } else if (!arg.empty() && arg[0] == '-') {
       return false;
     } else if (options->directory.empty()) {
@@ -854,11 +788,10 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     // TCP tier: queries arrive over the wire (PREPARE); a --queries file is
     // optional cache warming.  No local document source.
     if (query_sources > 1) return false;
-    if (options->frames || !options->directory.empty()) return false;
+    if (!options->directory.empty()) return false;
   } else {
     if (query_sources != 1) return false;
-    // Exactly one source: a directory, or the frame stream.
-    if (options->frames != options->directory.empty()) return false;
+    if (options->directory.empty()) return false;
   }
   if (options->threads < 1) return false;
   return true;
@@ -894,70 +827,30 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!options.directory.empty()) {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    std::vector<std::string> paths;
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(options.directory, ec)) {
-      if (entry.is_regular_file()) paths.push_back(entry.path().string());
-    }
-    if (ec) {
-      LogError("cannot read directory",
-               {{"directory", options.directory}, {"error", ec.message()}});
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  std::vector<std::string> paths;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(options.directory, ec)) {
+    if (entry.is_regular_file()) paths.push_back(entry.path().string());
+  }
+  if (ec) {
+    LogError("cannot read directory",
+             {{"directory", options.directory}, {"error", ec.message()}});
+    return 1;
+  }
+  std::sort(paths.begin(), paths.end());
+  if (paths.empty()) {
+    LogError("no files in directory", {{"directory", options.directory}});
+    return 1;
+  }
+  for (const std::string& path : paths) {
+    std::string xml;
+    if (!ReadFile(path, &xml)) {
+      LogError("cannot read document", {{"file", path}});
       return 1;
     }
-    std::sort(paths.begin(), paths.end());
-    if (paths.empty()) {
-      LogError("no files in directory", {{"directory", options.directory}});
-      return 1;
-    }
-    for (const std::string& path : paths) {
-      std::string xml;
-      if (!ReadFile(path, &xml)) {
-        LogError("cannot read document", {{"file", path}});
-        return 1;
-      }
-      server.Dispatch(fs::path(path).filename().string(), xml);
-    }
-  } else {
-    std::ifstream file;
-    if (!options.frames_file.empty()) {
-      file.open(options.frames_file, std::ios::binary);
-      if (!file) {
-        LogError("cannot read frames file", {{"file", options.frames_file}});
-        return 1;
-      }
-    }
-    std::istream& in = options.frames_file.empty() ? std::cin : file;
-    std::string payload;
-    std::string error;
-    std::string refused;
-    int64_t frame = 0;
-    while (ReadFrame(in, options.max_frame_bytes, &payload, &error, &refused)) {
-      const std::string name = "frame#" + std::to_string(frame++);
-      if (!refused.empty()) {
-        // Oversized frame: refused before any allocation, payload skipped;
-        // the stream is still framed, so serving continues.
-        std::printf("%s\t-\tERROR(%s)\tcertain=0/0\t%s\n", name.c_str(),
-                    spex::StatusCodeName(spex::StatusCode::kInvalidArgument),
-                    refused.c_str());
-        LogWarn("oversized frame refused, serving continues",
-                {{"frame", name}, {"error", refused}});
-        continue;
-      }
-      server.Dispatch(name, payload);
-    }
-    if (!error.empty()) {
-      // A truncated trailing frame is a client error, not a server fault:
-      // evaluate its payload as-is (the parser will classify the damage),
-      // report the condition, and still answer everything already queued.
-      LogWarn("frame stream truncated, serving continues", {{"error", error}});
-      if (!payload.empty()) {
-        server.Dispatch("frame#" + std::to_string(frame) + "(truncated)",
-                        payload);
-      }
-    }
+    server.Dispatch(fs::path(path).filename().string(), xml);
   }
   const int rc = server.Finish();
 
