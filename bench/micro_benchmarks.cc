@@ -356,8 +356,8 @@ const char* ObserveName() {
 }
 
 // Feeds the stream in EngineOptions::batch_size chunks, exactly as XmlParser
-// delivers in production (DESIGN.md §11); the engine takes the batched
-// network path for batchable queries and falls back per-event otherwise.
+// delivers in production (DESIGN.md §11); the engine sweeps the whole batch
+// through a batchable network and one event at a time otherwise.
 void FeedStream(SpexEngine* engine, const std::vector<StreamEvent>& events,
                 int batch_size) {
   const size_t step = batch_size > 1 ? static_cast<size_t>(batch_size) : 1;

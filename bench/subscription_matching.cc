@@ -104,8 +104,9 @@ ModeResult RunShared(const std::vector<std::string>& population,
   return out;
 }
 
-// Unshared: one SpexEngine per subscriber per document (compiled outside
-// the timed region), the stream delivered N times.
+// Unshared: one SpexEngine per subscriber per document, the stream
+// delivered N times.  Each engine is compiled inside the timed region, so
+// the unshared figure includes N network compiles per document.
 ModeResult RunUnshared(const std::vector<std::string>& population,
                        const std::vector<Batch>& docs) {
   ModeResult out;

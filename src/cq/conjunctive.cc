@@ -397,12 +397,15 @@ ConjunctiveEngine::~ConjunctiveEngine() = default;
 
 void ConjunctiveEngine::OnEvent(const StreamEvent& event) {
   if (!ok()) return;
-  // Zero-copy delivery, exactly as SpexEngine::OnEvent.
+  // Zero-copy delivery, one event per sweep: a CQ network carries condition
+  // variables (its sibling qualifiers), exactly as SpexEngine sweeps them.
   Message m = Message::DocumentRef(event);
   if (m.symbol == kNoSymbol && event.kind == EventKind::kStartElement) {
     m.symbol = context_->symbol_table()->Intern(event.name);
   }
-  network_.Deliver(input_node_, 0, std::move(m));
+  sweep_.clear();
+  sweep_.push_back(std::move(m));
+  network_.DeliverBatch(input_node_, 0, &sweep_);
   if (event.kind == EventKind::kEndDocument) {
     for (OutputTransducer* ou : outputs_) ou->Flush();
   }

@@ -87,6 +87,8 @@ class ConjunctiveEngine : public EventSink {
   Network network_;
   int input_node_ = -1;
   std::vector<OutputTransducer*> outputs_;
+  // Reusable one-message sweep buffer (Network::DeliverBatch).
+  std::vector<Message> sweep_;
 };
 
 // One-shot convenience: evaluates a conjunctive query over an event stream;

@@ -5,8 +5,8 @@
 // observe=off cost, so serving runs leave it off and attribution goes dark.
 // This controller closes the gap with batch-granular sampling: engines that
 // hold a SamplingProfiler draw once per delivered event batch, and only a
-// sampled batch (1 of every `period`) takes the instrumented per-message
-// Deliver path with a private ProfileAccumulator.  Per-node self-time
+// sampled batch (1 of every `period`) is swept with a private
+// ProfileAccumulator attached, which times each message.  Per-node self-time
 // *shares* estimated from sampled batches converge on the full profile's
 // shares (batches are drawn on a fixed stride, so every phase of a stream is
 // represented), while the cost is the instrumentation tax divided by the

@@ -7,11 +7,12 @@
 // chrome://tracing and Perfetto.
 //
 // Track model: pid is always 1; each tid is one track.  The SPEX engine maps
-// tid 0 to the document stream (one span per document message, covering the
-// whole synchronous delivery round) and tid i+1 to network node i (one span
-// per message delivery, naturally nested inside the enclosing round because
-// delivery is depth-first).  Track display names are registered with
-// SetTrackName and exported as thread_name metadata.
+// tid 0 to the document stream (one span per document message, covering its
+// whole one-event network sweep) and tid i+1 to network node i (one span per
+// message the node processes, inside the enclosing event's span; node spans
+// do not nest into each other because the sweep runs each node's work under
+// its own bracket).  Track display names are registered with SetTrackName
+// and exported as thread_name metadata.
 //
 // Multi-worker runs (the engine pool): each worker's recorder stamps its
 // worker index into the tid space via SetTidBase(worker * kWorkerTidStride),

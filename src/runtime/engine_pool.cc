@@ -156,8 +156,8 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
     }
 #endif
     // Batch-native delivery: hand the pool batch to the engine in
-    // EngineOptions::batch_size chunks (the engine falls back to per-event
-    // internally when the query or observe level requires it).
+    // EngineOptions::batch_size chunks (the engine decides how many events
+    // each network sweep carries).
     SpexEngine* target = engine_.get();
     const size_t step =
         base.batch_size > 1 ? static_cast<size_t>(base.batch_size) : 1;

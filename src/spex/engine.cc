@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "obs/sampling_profiler.h"
 #include "rpeq/parser.h"
@@ -130,12 +131,14 @@ void SpexEngine::Finalize() {
   }
   observed_path_ = obs_ != nullptr || progress_enabled_;
   guarded_ = options.limits.enabled() || options.track_open_elements;
-  // observe=full records a span per event delivery; batching would collapse
-  // those into one span per batch, so full observation keeps per-event
-  // feeding (the profiler needs no such carve-out: Network::DeliverBatch
-  // itself falls back to per-message delivery when instrumented).
-  batch_path_ =
-      compiled_.batchable && (obs_ == nullptr || trace_recorder() == nullptr);
+  // The sweep size, chosen here and nowhere else (DESIGN.md §11).  A
+  // network with condition variables sweeps one event at a time: VC/VF/VD/OU
+  // share one assignment, so a longer sweep would let a node see a
+  // determination from a later event.  observe=full does too, so its trace
+  // keeps one span per event.  Every other network sweeps the whole batch.
+  sweep_events_ = compiled_.batchable && trace_recorder() == nullptr
+                      ? std::numeric_limits<size_t>::max()
+                      : 1;
   if (guarded_) open_path_.reserve(64);
   run_start_ = std::chrono::steady_clock::now();
   if (options.limits.deadline_ms > 0) {
@@ -150,7 +153,7 @@ void SpexEngine::OnEvent(const StreamEvent& event) {
   // The resource governor costs this one branch when disabled (DESIGN.md
   // §10), mirroring the observability contract below.
   if (!guarded_) [[likely]] {
-    ProcessEvent(event);
+    DeliverEventBatch(&event, 1);
     return;
   }
   GuardedOnEvent(event);
@@ -180,9 +183,8 @@ void SpexEngine::SampleBatch(const StreamEvent* events, size_t count) {
     sample_profiler_ = std::make_unique<obs::ProfileAccumulator>(
         compiled_.network.node_count());
   }
-  // With a profiler attached the network flags itself instrumented and
-  // DeliverBatch falls back to per-message delivery — exactly the
-  // instrumented path a full profile takes, for this one batch.
+  // With a profiler attached the sweep times every message — exactly what a
+  // full profile does, for this one batch.
   compiled_.network.SetProfiler(sample_profiler_.get());
   OnEventBatchUnsampled(events, count);
   compiled_.network.SetProfiler(nullptr);
@@ -191,12 +193,6 @@ void SpexEngine::SampleBatch(const StreamEvent* events, size_t count) {
 
 void SpexEngine::OnEventBatchUnsampled(const StreamEvent* events,
                                        size_t count) {
-  if (!batch_path_) {
-    // Non-batchable network (condition variables) or observe=full: the
-    // per-event path is the semantics, batching is only a feeding shape.
-    for (size_t i = 0; i < count; ++i) OnEvent(events[i]);
-    return;
-  }
   if (!guarded_) [[likely]] {
     DeliverEventBatch(events, count);
     return;
@@ -209,38 +205,45 @@ void SpexEngine::FlushOutputs() {
 }
 
 void SpexEngine::DeliverEventBatch(const StreamEvent* events, size_t count) {
+  while (count > 0) {
+    const size_t swept = Sweep(events, count);
+    events += swept;
+    count -= swept;
+  }
+}
+
+size_t SpexEngine::Sweep(const StreamEvent* events, size_t count) {
+  const size_t limit = std::min(count, sweep_events_);
   message_batch_.clear();
-  message_batch_.reserve(count);
+  message_batch_.reserve(limit);
   SymbolTable* symbols = context_->symbol_table();
+  // Zero-copy delivery: each message borrows its event, which outlives the
+  // sweep.  Events not stamped by a parser are interned here so the label
+  // transducers always take the integer fast path.  A sweep ends at </$>:
+  // the output transducers flush there, before anything that (bogusly)
+  // follows it.
   bool saw_end = false;
-  for (size_t i = 0; i < count; ++i) {
-    const StreamEvent& e = events[i];
+  size_t n = 0;
+  while (n < limit && !saw_end) {
+    const StreamEvent& e = events[n++];
     Message m = Message::DocumentRef(e);
     if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
       m.symbol = symbols->Intern(e.name);
     }
-    saw_end |= (e.kind == EventKind::kEndDocument);
+    saw_end = e.kind == EventKind::kEndDocument;
     message_batch_.push_back(std::move(m));
   }
-  if (saw_end && events[count - 1].kind != EventKind::kEndDocument) {
-    // </$> mid-batch: the per-event path flushes the output transducers at
-    // the end-document message, before anything that (bogusly) follows it.
-    // Keep that exact on this cold path.
-    message_batch_.clear();
-    for (size_t i = 0; i < count; ++i) ProcessEvent(events[i]);
-    return;
-  }
-  events_processed_ += static_cast<int64_t>(count);
+  events_processed_ += static_cast<int64_t>(n);
+  // Observability costs this one branch when disabled (DESIGN.md §7).
   if (!observed_path_) [[likely]] {
     compiled_.network.DeliverBatch(compiled_.input_node, 0, &message_batch_);
   } else {
     if (obs_ != nullptr) {
-      obs_->ObserveDeliveryBatch(events_processed_,
-                                 static_cast<int64_t>(count), [&] {
-                                   compiled_.network.DeliverBatch(
-                                       compiled_.input_node, 0,
-                                       &message_batch_);
-                                 });
+      obs_->ObserveDelivery(events[n - 1].kind, events_processed_,
+                            static_cast<int64_t>(n), [&] {
+                              compiled_.network.DeliverBatch(
+                                  compiled_.input_node, 0, &message_batch_);
+                            });
     } else {
       compiled_.network.DeliverBatch(compiled_.input_node, 0, &message_batch_);
     }
@@ -250,8 +253,17 @@ void SpexEngine::DeliverEventBatch(const StreamEvent* events, size_t count) {
     document_ended_ = true;
     FlushOutputs();
   }
-  // No end-of-round variable GC here: a batchable network creates no
-  // condition variables, so retired_variables stays empty by construction.
+  // End-of-sweep garbage collection: with eager updates, formulas referring
+  // to a retired variable were rewritten while its determination propagated
+  // this sweep, so the binding can go.  (Lazy mode keeps every binding.)
+  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
+      !context_->retired_variables.empty()) {
+    for (VarId v : context_->retired_variables) {
+      context_->assignment.Erase(v);
+    }
+    context_->retired_variables.clear();
+  }
+  return n;
 }
 
 void SpexEngine::GuardedBatch(const StreamEvent* events, size_t count) {
@@ -299,39 +311,6 @@ void SpexEngine::GuardedBatch(const StreamEvent* events, size_t count) {
   if (admitted < count) FailRun(std::move(breach));
 }
 
-void SpexEngine::ProcessEvent(const StreamEvent& event) {
-  ++events_processed_;
-  // Zero-copy delivery: the message borrows `event`, which outlives the
-  // synchronous delivery round (no transducer keeps a document message
-  // queued across rounds — see DESIGN.md "Hot path & memory discipline").
-  // Events not stamped by a parser are interned here so the label
-  // transducers always take the integer fast path.
-  Message m = Message::DocumentRef(event);
-  if (m.symbol == kNoSymbol && event.kind == EventKind::kStartElement) {
-    m.symbol = context_->symbol_table()->Intern(event.name);
-  }
-  // Observability costs this one branch when disabled (DESIGN.md §7).
-  if (!observed_path_) [[likely]] {
-    compiled_.network.Deliver(compiled_.input_node, 0, std::move(m));
-  } else {
-    OnEventObserved(event, std::move(m));
-  }
-  if (event.kind == EventKind::kEndDocument) {
-    document_ended_ = true;
-    FlushOutputs();
-  }
-  // End-of-round garbage collection: with eager updates, formulas referring
-  // to a retired variable were rewritten while its determination propagated
-  // this round, so the binding can go.  (Lazy mode keeps every binding.)
-  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
-      !context_->retired_variables.empty()) {
-    for (VarId v : context_->retired_variables) {
-      context_->assignment.Erase(v);
-    }
-    context_->retired_variables.clear();
-  }
-}
-
 void SpexEngine::GuardedOnEvent(const StreamEvent& event) {
   if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
   const EngineLimits& limits = context_->options.limits;
@@ -361,7 +340,7 @@ void SpexEngine::GuardedOnEvent(const StreamEvent& event) {
   } else if (event.kind == EventKind::kEndElement && !open_path_.empty()) {
     open_path_.pop_back();
   }
-  ProcessEvent(event);
+  DeliverEventBatch(&event, 1);
   // Post-checks: memory the event's delivery actually pinned.  Skipped once
   // the stream completed — after end-document the run already flushed and
   // decided everything, and the thread-shared formula arena may still hold
@@ -408,32 +387,20 @@ Status SpexEngine::FinalizeTruncated() {
     document_ended_ = true;
     return status_;
   }
-  // Seal below the governor: the virtual closes must reach the network even
-  // on a poisoned run, and must not re-trip the limit being breached.
-  const bool was_guarded = guarded_;
-  guarded_ = false;
+  // Seal below the governor: DeliverEventBatch skips the limit checks, so
+  // the virtual closes reach the network even on a poisoned run and do not
+  // re-trip the limit being breached.
   SymbolTable* symbols = context_->symbol_table();
   while (!open_path_.empty()) {
     const Symbol label = open_path_.back();
     open_path_.pop_back();
     StreamEvent close = StreamEvent::EndElement(symbols->Name(label));
     close.label = label;
-    ProcessEvent(close);
+    DeliverEventBatch(&close, 1);
   }
-  ProcessEvent(StreamEvent::EndDocument());  // flushes OUs, decides candidates
-  guarded_ = was_guarded;
+  const StreamEvent end = StreamEvent::EndDocument();
+  DeliverEventBatch(&end, 1);  // flushes OUs, decides candidates
   return status_;
-}
-
-void SpexEngine::OnEventObserved(const StreamEvent& event, Message message) {
-  if (obs_ != nullptr) {
-    obs_->ObserveDelivery(event.kind, events_processed_, [&] {
-      compiled_.network.Deliver(compiled_.input_node, 0, std::move(message));
-    });
-  } else {
-    compiled_.network.Deliver(compiled_.input_node, 0, std::move(message));
-  }
-  if (progress_enabled_) MaybeEmitProgress();
 }
 
 void SpexEngine::MaybeEmitProgress() {

@@ -125,13 +125,14 @@ class SpexEngine : public EventSink {
 
   // Batched feeding (DESIGN.md §11): processes `count` consecutive document
   // messages.  Results, statuses and counters are identical to `count`
-  // OnEvent calls at any batch size; the difference is cost.  For networks
-  // without condition variables (CompiledNetwork::batchable) the whole
-  // batch sweeps the network with one virtual dispatch and one stats flush
-  // per transducer (Network::DeliverBatch), governed or not; everything
-  // else — qualifier / preceding-axis queries, observe=full runs, per-event
-  // byte limits — falls back to the exact per-event path internally.  The
-  // events must outlive the call (zero-copy borrowing at batch scope).
+  // OnEvent calls at any batch size; the difference is cost.  Every event
+  // reaches the network through Network::DeliverBatch.  A network without
+  // condition variables (CompiledNetwork::batchable) takes the whole batch
+  // in one sweep, with one virtual dispatch and one stats flush per
+  // transducer, governed or not; qualifier / preceding-axis networks and
+  // observe=full runs sweep one event at a time, and runs with byte limits
+  // feed one event at a time so the limits are checked after every event.
+  // The events must outlive the call (zero-copy borrowing at batch scope).
   void OnEventBatch(const StreamEvent* events, size_t count) override;
 
   // kOk while the run is healthy; the breach status once the governor
@@ -200,8 +201,8 @@ class SpexEngine : public EventSink {
 
   // Always-on statistical sampling (DESIGN.md §13): with a controller
   // attached, each OnEventBatch call draws once and the ~1/period batches
-  // that win are delivered through the instrumented per-message path into a
-  // private ProfileAccumulator — continuous attribution at a fraction of
+  // that win are swept with a private ProfileAccumulator attached, which
+  // times every message — continuous attribution at a fraction of
   // options.profile's cost.  The controller is shared (typically pool-wide)
   // and must outlive the engine; a full profiler (options.profile) takes
   // precedence, since every batch is already instrumented then.  The
@@ -261,13 +262,14 @@ class SpexEngine : public EventSink {
   void OnEventBatchUnsampled(const StreamEvent* events, size_t count);
   // Sampled batch: instrumented delivery into sample_profiler_.
   void SampleBatch(const StreamEvent* events, size_t count);
-  // The ungoverned per-event path.
-  void ProcessEvent(const StreamEvent& event);
   // Governed per-event path: limit checks + open-path tracking around
-  // ProcessEvent.  Entered only when guarded_ (limits or tracking on).
+  // one-event delivery.  Entered only when guarded_ (limits or tracking on).
   void GuardedOnEvent(const StreamEvent& event);
-  // Batch-sweep delivery of a batchable network (no condition variables).
+  // Ungoverned delivery: splits the events into network sweeps.
   void DeliverEventBatch(const StreamEvent* events, size_t count);
+  // One network sweep over a prefix of the events: up to sweep_events_ of
+  // them, ending early after an end-document.  Returns the prefix length.
+  size_t Sweep(const StreamEvent* events, size_t count);
   // Governed batch path: per-event pre-checks (max_events / max_depth /
   // open-path tracking) build an admissible prefix, which is delivered as
   // one batch before any breach poisons the run — so exactly the events a
@@ -277,9 +279,6 @@ class SpexEngine : public EventSink {
   void FailRun(Status status);
   void FreezeCertainResults();
   void FlushOutputs();
-  // Cold path of OnEvent: delivery wrapped in metric/trace publication plus
-  // watermark triggering.  Entered only when observation or progress is on.
-  void OnEventObserved(const StreamEvent& event, Message message);
   void MaybeEmitProgress();
   obs::ProfileReport BuildReport(const obs::ProfileAccumulator* profiler) const;
 
@@ -308,11 +307,11 @@ class SpexEngine : public EventSink {
   // True when OnEvent must take the governed path (limits configured or
   // track_open_elements): the unguarded hot path tests exactly this flag.
   bool guarded_ = false;
-  // True when OnEventBatch may use Network::DeliverBatch: batchable network
-  // and no per-delivery event spans (observe != kFull).  Computed once in
-  // Finalize; false sends batches through the per-event loop.
-  bool batch_path_ = false;
-  // Reusable message buffer of the batch path; capacity circulates with the
+  // Most events one network sweep may carry: 1 for a network with condition
+  // variables or an observe=full run, unbounded otherwise.  Computed once in
+  // Finalize from the compiled network; not a user option.
+  size_t sweep_events_ = 1;
+  // Reusable message buffer of the sweep; capacity circulates with the
   // network's pending buffers, so steady state allocates nothing.
   std::vector<Message> message_batch_;
   bool document_ended_ = false;
@@ -326,7 +325,7 @@ class SpexEngine : public EventSink {
   std::vector<int64_t> certain_results_;
   // Wall-clock breach point when limits.deadline_ms is set.
   std::chrono::steady_clock::time_point deadline_{};
-  // True when OnEvent must take the observed path (observe != kOff or
+  // True when a sweep must take the observed path (observe != kOff or
   // progress enabled): the disabled hot path tests exactly this one flag.
   bool observed_path_ = false;
   bool progress_enabled_ = false;

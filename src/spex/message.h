@@ -14,8 +14,8 @@
 // interned label symbol — plus a borrowed pointer to the StreamEvent for the
 // cold fields (name/text strings, needed only by the output transducer when
 // it materializes results).  The engine delivers each stream event with
-// Message::DocumentRef: the event outlives the synchronous delivery round
-// ("one message in the network at a time", §III), so no copy and no
+// Message::DocumentRef: the event outlives the synchronous network sweep
+// that carries it (DESIGN.md §11), so no copy and no
 // allocation happens anywhere on the routing path, however large the
 // network's fan-out.  Message::Document keeps ownership semantics for
 // hand-built messages in tests (the event is moved into shared storage).
@@ -64,8 +64,8 @@ struct Message {
     return m;
   }
   // Borrowing document message: the caller keeps `event` alive until the
-  // delivery round completes (true for the engine, which holds the event on
-  // its stack for the whole synchronous Deliver cascade).
+  // network sweep completes (true for the engine: the fed events outlive
+  // the OnEvent/OnEventBatch call whose sweeps borrow them).
   static Message DocumentRef(const StreamEvent& event) {
     Message m;
     m.kind = MessageKind::kDocument;

@@ -61,29 +61,6 @@ void Network::SetProvenance(int node, SourceSpan span, std::string fragment) {
   nodes_[node].provenance.fragment = std::move(fragment);
 }
 
-void Network::Deliver(int node, int in_port, Message message) {
-  SPEX_DCHECK_THREAD(affinity_, "spex::Network");
-  NodeEmitter emitter(this, node);
-  if (!instrumented_) [[likely]] {
-    nodes_[node].transducer->OnMessage(in_port, std::move(message), &emitter);
-    return;
-  }
-  // Instrumented path: one pair of clock reads shared by the trace span and
-  // the profiler bracket (the profiler only uses differences, so either
-  // clock origin works).
-  const int kind = static_cast<int>(message.kind);
-  const int64_t start = trace_recorder_ != nullptr ? trace_recorder_->NowNs()
-                                                   : profiler_->NowNs();
-  if (profiler_ != nullptr) profiler_->Enter();
-  nodes_[node].transducer->OnMessage(in_port, std::move(message), &emitter);
-  const int64_t end = trace_recorder_ != nullptr ? trace_recorder_->NowNs()
-                                                 : profiler_->NowNs();
-  if (trace_recorder_ != nullptr) {
-    trace_recorder_->RecordSpan(node + 1, kind_name_ids_[kind], start, end);
-  }
-  if (profiler_ != nullptr) profiler_->Leave(node, start, end);
-}
-
 std::vector<Message>* Network::PendingFor(int node, int port) {
   const int tape = nodes_[node].out_tapes[port];
   if (tape == -1) return nullptr;
@@ -97,12 +74,6 @@ std::vector<Message>* Network::PendingFor(int node, int port) {
 
 void Network::DeliverBatch(int node, int in_port, std::vector<Message>* batch) {
   SPEX_DCHECK_THREAD(affinity_, "spex::Network");
-  if (instrumented_) {
-    // Per-delivery span/profile attribution requires per-message recursion.
-    for (Message& m : *batch) Deliver(node, in_port, std::move(m));
-    batch->clear();
-    return;
-  }
   if (pending_.empty()) pending_.resize(nodes_.size());
   pending_[node][in_port].swap(*batch);
   const int n = node_count();
@@ -110,26 +81,43 @@ void Network::DeliverBatch(int node, int in_port, std::vector<Message>* batch) {
     for (int port = 0; port < 2; ++port) {
       std::vector<Message>& q = pending_[id][port];
       if (q.empty()) continue;
-      BatchEmitter emitter(PendingFor(id, 0), PendingFor(id, 1), &q);
-      // Emissions only target higher node ids (asserted above), so `q` is
-      // never reallocated while OnBatch runs over it.
-      nodes_[id].transducer->OnBatch(port, q.data(), q.size(), &emitter);
-      emitter.Finish();  // May swap q wholesale into the consumer's queue.
+      if (instrumented_) [[unlikely]] {
+        DrainInstrumented(id, port, &q);
+      } else {
+        BatchEmitter emitter(PendingFor(id, 0), PendingFor(id, 1), &q, 0,
+                             q.size());
+        // Emissions only target higher node ids (asserted in PendingFor), so
+        // `q` is never reallocated while OnBatch runs over it.
+        nodes_[id].transducer->OnBatch(port, q.data(), q.size(), &emitter);
+        emitter.Finish();  // May swap q wholesale into the consumer's queue.
+      }
       q.clear();
     }
   }
 }
 
-void Network::NodeEmitter::Emit(int port, Message message) {
-  network_->Route(node_, port, std::move(message));
-}
-
-void Network::Route(int node, int out_port, Message message) {
-  int tape = nodes_[node].out_tapes[out_port];
-  if (tape == -1) return;  // dangling output (the sink): drop
-  const Tape& t = tapes_[tape];
-  if (t.consumer_node == -1) return;
-  Deliver(t.consumer_node, t.consumer_port, std::move(message));
+void Network::DrainInstrumented(int id, int port, std::vector<Message>* q) {
+  // One pair of clock reads per message, shared by the trace span and the
+  // profiler (the profiler only uses differences, so either clock origin
+  // works).  Nothing nests inside the bracket: downstream work runs later in
+  // the sweep, under its own node's bracket.
+  std::vector<Message>* out0 = PendingFor(id, 0);
+  std::vector<Message>* out1 = PendingFor(id, 1);
+  Transducer* transducer = nodes_[id].transducer.get();
+  for (size_t i = 0; i < q->size(); ++i) {
+    const int kind = static_cast<int>((*q)[i].kind);
+    const int64_t start = trace_recorder_ != nullptr ? trace_recorder_->NowNs()
+                                                     : profiler_->NowNs();
+    BatchEmitter emitter(out0, out1, q, i, 1);
+    transducer->OnBatch(port, q->data() + i, 1, &emitter);
+    emitter.Finish();  // Swaps only when q holds this one message.
+    const int64_t end = trace_recorder_ != nullptr ? trace_recorder_->NowNs()
+                                                   : profiler_->NowNs();
+    if (trace_recorder_ != nullptr) {
+      trace_recorder_->RecordSpan(id + 1, kind_name_ids_[kind], start, end);
+    }
+    if (profiler_ != nullptr) profiler_->Record(id, start, end);
+  }
 }
 
 Transducer* Network::FindByName(const std::string& name) {

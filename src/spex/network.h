@@ -3,10 +3,12 @@
 // transducer).  Tapes are the edges; a tape is written by exactly one
 // transducer output port and read by exactly one input port.
 //
-// Message delivery is synchronous and depth-first: emitting a message on a
-// tape immediately runs the consumer, so a document message injected at the
-// source fully traverses the network (the paper's "only one message in the
-// network at a time") before the next one is injected.
+// Message delivery is a topological sweep: messages injected at the source
+// are handed to each node in ascending node id, a node's emissions queue on
+// its consumers' pending buffers, and the sweep returns once every buffer is
+// drained.  Each transducer thus reads its input tape in order (Def. 1), and
+// a sweep's messages fully traverse the network before the next sweep is
+// injected.
 
 #ifndef SPEX_SPEX_NETWORK_H_
 #define SPEX_SPEX_NETWORK_H_
@@ -57,38 +59,35 @@ class Network {
   // Declares that `node` reads `tape` on input port `in_port`.
   void SetConsumer(int tape, int node, int in_port);
 
-  // Injects a message at node `node` input port 0 and runs it to quiescence.
-  void Deliver(int node, int in_port, Message message);
-
-  // Batched delivery (DESIGN.md §11): injects `batch` at node `node` and
-  // sweeps the network once in topological node order, handing each node its
-  // pending input sequence in one Transducer::OnBatch call per port.  On
-  // return every message has been fully processed (all pending buffers are
-  // drained) and *batch holds an empty vector whose capacity is recycled.
+  // The one way messages move through the network (DESIGN.md §11): injects
+  // `batch` at node `node` and sweeps the network once in topological node
+  // order, handing each node its pending input sequence in one
+  // Transducer::OnBatch call per port.  On return every message has been
+  // fully processed (all pending buffers are drained) and *batch holds an
+  // empty vector whose capacity is recycled.
   //
-  // Correctness precondition (the engine enforces it): the per-tape message
-  // sequences must determine every node's output — true whenever no
-  // transducer reads or writes cross-node shared state mid-round, i.e. for
-  // networks without condition variables (no VC/VD/PR nodes).  Nodes are
-  // added in topological order, so a single ascending sweep sees every
-  // pending message; document payload borrows (Message::DocumentRef) must
-  // stay valid until DeliverBatch returns, which widens the per-round
-  // borrowing contract of Deliver to batch scope.  When a trace recorder or
-  // profiler is attached this falls back to per-message Deliver so span
-  // attribution keeps its per-delivery meaning.
+  // Correctness precondition (the engine enforces it by choosing the sweep
+  // size): the per-tape message sequences must determine every node's
+  // output.  A one-message sweep always satisfies it; a longer sweep does
+  // whenever no transducer reads or writes cross-node shared state mid-sweep,
+  // i.e. for networks without condition variables (no VC/VD/PR nodes).
+  // Nodes are added in topological order, so a single ascending sweep sees
+  // every pending message; document payload borrows (Message::DocumentRef)
+  // must stay valid until DeliverBatch returns.  With a trace recorder or
+  // profiler attached, each node's queue is handed to OnBatch one message at
+  // a time, each call bracketed by one pair of clock reads.
   void DeliverBatch(int node, int in_port, std::vector<Message>* batch);
 
-  // Attaches a span recorder (observe=full): every message delivery records
-  // a span on track node+1, named after the message kind.  Because delivery
-  // is synchronous and depth-first, a delivery's span covers all downstream
-  // work it triggered — the Chrome trace reads as a flame graph of the
-  // network.  Null detaches; when neither a recorder nor a profiler is
-  // attached Deliver pays one branch.
+  // Attaches a span recorder (observe=full): every message a node processes
+  // records a span on track node+1, named after the message kind.  A span
+  // covers that node's own work only — the sweep never nests deliveries.
+  // Null detaches; when neither a recorder nor a profiler is attached the
+  // sweep pays one branch per node queue.
   void SetTraceRecorder(obs::TraceRecorder* recorder);
 
-  // Attaches a per-node cost accumulator (--profile): every delivery is
-  // bracketed with Enter/Leave around the same timestamps the trace spans
-  // use.  Null detaches.
+  // Attaches a per-node cost accumulator (--profile): every message a node
+  // processes is timed with the same clock reads the trace spans use.  Null
+  // detaches.
   void SetProfiler(obs::ProfileAccumulator* profiler);
 
   // Records the query provenance of `node` (see NodeProvenance).
@@ -136,18 +135,6 @@ class Network {
   std::string ToDot(const obs::ProfileReport* report) const;
 
  private:
-  // Stack-allocated per delivery: the network is movable, so no component
-  // may hold a stable back-pointer to it.
-  class NodeEmitter : public Emitter {
-   public:
-    NodeEmitter(Network* network, int node) : network_(network), node_(node) {}
-    void Emit(int port, Message message) override;
-
-   private:
-    Network* network_;
-    int node_;
-  };
-
   struct Node {
     std::unique_ptr<Transducer> transducer;
     // out_tapes[port] = tape id (or -1)
@@ -163,7 +150,9 @@ class Network {
     int consumer_port = -1;
   };
 
-  void Route(int node, int out_port, Message message);
+  // Instrumented drain of node `id`'s queue `q` on input `port`: one OnBatch
+  // call per message, each timed into the trace recorder and the profiler.
+  void DrainInstrumented(int id, int port, std::vector<Message>* q);
 
   // Pending buffer of the consumer wired to `node`'s output `port`, or null
   // when the tape dangles (the sink's unused output).
@@ -171,19 +160,21 @@ class Network {
 
   // Debug-mode single-thread guard: delivery binds to the first delivering
   // thread (see base/thread_check.h).  A network handed to a pool worker
-  // must be built *and* driven there — the one-message-in-network round
-  // invariant and the zero-copy payload borrowing are per-thread contracts.
+  // must be built *and* driven there — the sweep's pending buffers and the
+  // zero-copy payload borrowing are per-thread contracts.  The network holds
+  // no back-pointer to itself (emitters live on the sweep's stack), so it
+  // stays movable between sweeps.
   ThreadAffinity affinity_;
   std::vector<Node> nodes_;
   std::vector<Tape> tapes_;
-  // Per-node per-port pending input sequences of the batched path; sized
-  // lazily on the first DeliverBatch.  Steady state reuses the vectors'
-  // capacity, so batched delivery allocates nothing per batch.
+  // Per-node per-port pending input sequences of the sweep; sized lazily on
+  // the first DeliverBatch.  Steady state reuses the vectors' capacity, so a
+  // sweep allocates nothing.
   std::vector<std::array<std::vector<Message>, 2>> pending_;
   obs::TraceRecorder* trace_recorder_ = nullptr;
   obs::ProfileAccumulator* profiler_ = nullptr;
   // True iff a trace recorder or profiler is attached — the one predicted
-  // branch Deliver pays when observation is off.
+  // branch per node queue the sweep pays when observation is off.
   bool instrumented_ = false;
   // Interned span names, one per MessageKind.
   int kind_name_ids_[3] = {0, 0, 0};

@@ -3,12 +3,14 @@
 // registration helpers.
 //
 // Cost contract (validated by BENCH_PR2.json):
-//  * ObserveLevel::kOff      — the engine's per-event path pays exactly one
-//    branch (a null observer check); nothing is registered or published.
-//  * ObserveLevel::kCounters — per-event counter increments and the output
+//  * ObserveLevel::kOff      — the engine pays exactly one branch per
+//    network sweep (a null observer check); nothing is registered or
+//    published.
+//  * ObserveLevel::kCounters — one counter add per sweep and the output
 //    decision-delay histogram; no clock reads, no allocation.
-//  * ObserveLevel::kFull     — additionally two clock reads per message
-//    delivery for latency histograms and Chrome-trace spans.
+//  * ObserveLevel::kFull     — additionally one-event sweeps and two clock
+//    reads per message delivery for latency histograms and Chrome-trace
+//    spans.
 //
 // The pull collectors (Register*Collectors) expose state the components
 // maintain unconditionally anyway (TransducerStats, OutputStats, the formula
@@ -97,12 +99,19 @@ class EngineObservability {
   obs::TraceRecorder* trace_recorder() { return trace_.get(); }
   const obs::TraceRecorder* trace_recorder() const { return trace_.get(); }
 
-  // Publishes the per-event metrics around one delivery round.  `deliver`
-  // performs the actual network injection.
+  // Publishes the per-event metrics around one network sweep of `count`
+  // events; `event_index` is the index after the sweep and `deliver`
+  // performs it.  Increment(count) sums exactly to `count` per-event
+  // Increments, so spex_events_total is precise at any sweep size;
+  // per-event-indexed observations (decision delay) are quantized to sweep
+  // boundaries.  With a trace recorder the engine sweeps one event at a
+  // time, and the sweep records a span named after that event's `kind` on
+  // the stream track.
   template <typename Fn>
-  void ObserveDelivery(EventKind kind, int64_t event_index, Fn&& deliver) {
+  void ObserveDelivery(EventKind kind, int64_t event_index, int64_t count,
+                       Fn&& deliver) {
     observer_.event_index = event_index;
-    observer_.events_total->Increment();
+    observer_.events_total->Increment(count);
     if (trace_ == nullptr) {
       deliver();
       return;
@@ -113,19 +122,6 @@ class EngineObservability {
     trace_->RecordSpan(/*tid=*/0, event_name_ids_[static_cast<int>(kind)],
                        start, end);
     observer_.event_latency_ns->Observe(end - start);
-  }
-
-  // Batch variant (DESIGN.md §11): one counter flush for `count` events —
-  // Increment(count) sums exactly to `count` per-event Increments, so
-  // spex_events_total stays precise at any batch size.  `event_index` is the
-  // index after the batch; per-event-indexed observations (decision delay)
-  // are quantized to batch boundaries.  Only used on the batch path, which
-  // the engine never takes at observe=full (trace_ is null here).
-  template <typename Fn>
-  void ObserveDeliveryBatch(int64_t event_index, int64_t count, Fn&& deliver) {
-    observer_.event_index = event_index;
-    observer_.events_total->Increment(count);
-    deliver();
   }
 
  private:
@@ -160,7 +156,7 @@ std::string PredictCostClass(std::string_view transducer_name);
 
 // Builds the EXPLAIN/PROFILE attribution report (see obs/profile.h): one
 // row per node folding TransducerStats, the compiler's query provenance and
-// — when `profiler` is non-null — the accumulated self/inclusive times; one
+// — when `profiler` is non-null — the accumulated self times; one
 // edge per wired tape with its message volume (derived as the producer's
 // messages_out split over its wired ports, so no hot-path tape counters are
 // needed).  A null `profiler` yields a static EXPLAIN (timed=false).

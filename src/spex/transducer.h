@@ -31,10 +31,10 @@ class Emitter {
   virtual void Emit(int port, Message message) = 0;
 };
 
-// Non-virtual emitter of the batched delivery path (Network::DeliverBatch):
-// routes emitted messages to the consumer nodes' pending buffers instead of
-// recursing into them.  Final so EmitTo(BatchEmitter*, ...) inlines — one
-// virtual dispatch per *batch*, not per message.
+// Non-virtual emitter of the network sweep (Network::DeliverBatch): routes
+// emitted messages to the consumer nodes' pending buffers.  Final so
+// EmitTo(BatchEmitter*, ...) inlines — one virtual dispatch per *batch*, not
+// per message.
 //
 // Pass-through elision: most transducers forward most document messages
 // unchanged, and the emitted object IS the input-buffer element (Process
@@ -50,13 +50,14 @@ class BatchEmitter final {
  public:
   // `out0`/`out1` are the pending buffers of the consumers wired to output
   // ports 0/1 (null for a dangling port); `in` is the node's input buffer,
-  // owning messages[0..count) passed to OnBatch.
+  // whose messages [first, first + count) are the ones passed to OnBatch
+  // (the whole buffer, or one message at a time on an instrumented sweep).
   BatchEmitter(std::vector<Message>* out0, std::vector<Message>* out1,
-               std::vector<Message>* in)
+               std::vector<Message>* in, size_t first, size_t count)
       : out_{out0, out1},
         in_(in),
-        in_begin_(in->data()),
-        in_end_(in->data() + in->size()) {}
+        in_begin_(in->data() + first),
+        in_end_(in_begin_ + count) {}
 
   void Emit(int port, Message&& message) {
     if (&message == run_end_ && port == run_port_) {  // extend the run
@@ -81,12 +82,12 @@ class BatchEmitter final {
   }
 
   // Called by the network after OnBatch returns: delivers the deferred run.
-  // When the run is the whole input batch and the consumer's queue is empty
+  // When the run is the whole input buffer and the consumer's queue is empty
   // (single producer per queue — always, except after a same-port fresh
   // emission before the run), the vectors are swapped outright.
   void Finish() {
-    if (run_begin_ == in_begin_ && run_end_ == in_end_ &&
-        in_begin_ != in_end_) {
+    if (run_begin_ == in_->data() && run_end_ == in_->data() + in_->size() &&
+        !in_->empty()) {
       std::vector<Message>* q = out_[run_port_];
       run_end_ = nullptr;
       if (q == nullptr) return;  // dangling port: batch is dropped
@@ -208,8 +209,8 @@ class Transducer {
   void Fire(int rule) {
     if (trace_ != nullptr) trace_->Fire(rule);
   }
-  // Templated over the emitter so the batch path (BatchEmitter) inlines the
-  // pending-buffer append while the per-message path keeps the virtual call.
+  // Templated over the emitter so OnBatch overrides (BatchEmitter) inline
+  // the pending-buffer append while OnMessage keeps the virtual call.
   // Takes Message&& so an input-buffer element forwarded unchanged reaches
   // BatchEmitter::Emit under its original address (pass-through elision);
   // callers copy explicitly (Message(m)) when they need a duplicate.
@@ -340,12 +341,11 @@ struct EngineOptions {
   bool track_open_elements = false;
   // Event-batch granularity of the feeding path (DESIGN.md §11): parsers,
   // the engine pool and the one-shot helpers hand events to the engine in
-  // groups of up to this many via SpexEngine::OnEventBatch.  1 = legacy
-  // per-event feeding.  Batching is a feeding granularity only — the engine
-  // falls back to per-event delivery internally whenever the network is not
-  // provably batch-safe (queries with condition variables) or per-event
-  // governor/observability semantics are required, so results, statuses and
-  // counters are identical at every batch size.
+  // groups of up to this many via SpexEngine::OnEventBatch.  1 = per-event
+  // feeding.  Batching is a feeding granularity only — the engine itself
+  // decides how many fed events one network sweep carries (one for networks
+  // with condition variables and observe=full runs), so results, statuses
+  // and counters are identical at every batch size.
   int batch_size = 64;
   // Pool-worker index stamped into the observe=full trace recorder's tid
   // space (tid = worker * obs::TraceRecorder::kWorkerTidStride + node) so

@@ -38,7 +38,9 @@ TEST(NetworkTest, DeliveryFollowsTapes) {
   int t = net.NewTape();
   net.SetProducer(t, n1, 0);
   net.SetConsumer(t, n2, 0);
-  net.Deliver(n1, 0, Open("a"));
+  std::vector<Message> batch;
+  batch.push_back(Open("a"));
+  net.DeliverBatch(n1, 0, &batch);
   EXPECT_EQ(p1->seen, (std::vector<std::string>{"<a>"}));
   EXPECT_EQ(p2->seen, (std::vector<std::string>{"<a>"}));
 }
@@ -48,7 +50,9 @@ TEST(NetworkTest, DanglingOutputIsDropped) {
   auto probe = std::make_unique<ProbeTransducer>();
   int n = net.AddNode(std::move(probe));
   // No output tape: emitting must be a safe no-op.
-  net.Deliver(n, 0, Open("a"));
+  std::vector<Message> batch;
+  batch.push_back(Open("a"));
+  net.DeliverBatch(n, 0, &batch);
   SUCCEED();
 }
 
@@ -65,7 +69,9 @@ TEST(NetworkTest, NetworkSurvivesMove) {
   net.SetProducer(t, n1, 0);
   net.SetConsumer(t, n2, 0);
   Network moved = std::move(net);
-  moved.Deliver(0, 0, Open("x"));
+  std::vector<Message> batch;
+  batch.push_back(Open("x"));
+  moved.DeliverBatch(0, 0, &batch);
   EXPECT_EQ(p2->seen.size(), 1u);
 }
 

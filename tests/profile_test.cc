@@ -125,7 +125,8 @@ void ExpectTimedReportInvariants(SpexEngine& engine) {
     // One profiler bracket per delivery, one CountIn per delivery.
     EXPECT_EQ(n.deliveries, n.messages_in) << n.name;
     EXPECT_GE(n.self_ns, 0) << n.name;
-    EXPECT_GE(n.total_ns, n.self_ns) << n.name;
+    // The sweep never nests deliveries: a node's inclusive time is its own.
+    EXPECT_EQ(n.total_ns, n.self_ns) << n.name;
     EXPECT_FALSE(n.cost_class.empty()) << n.name;
   }
   EXPECT_EQ(sum_in, report.total_messages);

@@ -128,12 +128,15 @@ TEST(SymbolTableTest, NetworkSurvivesMoveBetweenDeliveries) {
   std::vector<StreamEvent> events =
       MustParseEvents("<a><b><c/></b><b>no</b><d><b><c/></b></d></a>");
   size_t half = events.size() / 2;
+  std::vector<Message> batch;
   for (size_t i = 0; i < half; ++i) {
-    moved.Deliver(compiled.input_node, 0, Message::Document(events[i]));
+    batch.push_back(Message::Document(events[i]));
+    moved.DeliverBatch(compiled.input_node, 0, &batch);
   }
   Network moved_again = std::move(moved);
   for (size_t i = half; i < events.size(); ++i) {
-    moved_again.Deliver(compiled.input_node, 0, Message::Document(events[i]));
+    batch.push_back(Message::Document(events[i]));
+    moved_again.DeliverBatch(compiled.input_node, 0, &batch);
   }
   EXPECT_EQ(sink.results().size(), 2u);
 }

@@ -81,7 +81,7 @@ struct Options {
   int max_depth = 10000;
   size_t max_text_bytes = 16u << 20;
   // Events per delivery batch through parser and engine (DESIGN.md §11);
-  // 1 = legacy per-event delivery.
+  // 1 = per-event feeding.
   int batch_size = 64;
   // Sampling-profiler period: ~1/N batches instrumented (0 = off).
   int sampling_period = 0;

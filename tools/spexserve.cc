@@ -145,7 +145,7 @@ struct Options {
   size_t cache_capacity = 128;
   size_t batch_events = 0;  // 0 = whole document in one batch
   // Events per delivery batch inside each session's engine (DESIGN.md §11);
-  // 1 = legacy per-event delivery.  Distinct from --batch, which sizes the
+  // 1 = per-event feeding.  Distinct from --batch, which sizes the
   // pool's submission batches.
   int engine_batch = 64;
   bool print_results = false;
