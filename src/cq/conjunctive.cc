@@ -397,25 +397,14 @@ ConjunctiveEngine::~ConjunctiveEngine() = default;
 
 void ConjunctiveEngine::OnEvent(const StreamEvent& event) {
   if (!ok()) return;
-  // Zero-copy delivery, one event per sweep: a CQ network carries condition
+  // One event per sweep, zero-copy: a CQ network carries condition
   // variables (its sibling qualifiers), exactly as SpexEngine sweeps them.
-  Message m = Message::DocumentRef(event);
-  if (m.symbol == kNoSymbol && event.kind == EventKind::kStartElement) {
-    m.symbol = context_->symbol_table()->Intern(event.name);
-  }
-  sweep_.clear();
-  sweep_.push_back(std::move(m));
+  context_->BuildSweep(&event, 1, &sweep_);
   network_.DeliverBatch(input_node_, 0, &sweep_);
   if (event.kind == EventKind::kEndDocument) {
     for (OutputTransducer* ou : outputs_) ou->Flush();
   }
-  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
-      !context_->retired_variables.empty()) {
-    for (VarId v : context_->retired_variables) {
-      context_->assignment.Erase(v);
-    }
-    context_->retired_variables.clear();
-  }
+  context_->EndRound();
 }
 
 std::vector<std::vector<std::string>> EvaluateConjunctive(

@@ -3,13 +3,15 @@
 //
 // Two pieces:
 //
-//  * ProfileAccumulator — an allocation-free per-node time accumulator fed
-//    by the network sweep's per-message clock brackets (the same brackets
-//    observe=full uses for Chrome-trace spans).  The sweep hands a node one
-//    message at a time and runs downstream work later under the consumers'
-//    own brackets, so brackets never nest: each one is its node's *self*
-//    time.  Self times partition the instrumented wall time, which is what
-//    makes per-node time shares sum to 100% by construction.
+//  * ProfileAccumulator — the network sweep's one instrument: an
+//    allocation-free per-node accumulator fed by one pair of clock reads per
+//    node batch (each Deliver call of the sweep), which also writes one
+//    Chrome-trace span per node batch when a trace recorder is attached
+//    (observe=full).  The sweep hands a node its whole pending queue and runs
+//    downstream work later under the consumers' own brackets, so brackets
+//    never nest: each one is its node's *self* time.  Self times partition
+//    the instrumented wall time, which is what makes per-node time shares
+//    sum to 100% by construction.
 //
 //  * ProfileReport — the post-run (or mid-run) attribution result: one row
 //    per network node carrying the node's query provenance (the rpeq
@@ -30,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace spex {
 namespace obs {
 
@@ -39,7 +43,7 @@ namespace obs {
 class ProfileAccumulator {
  public:
   struct NodeCost {
-    int64_t deliveries = 0;
+    int64_t deliveries = 0;  // messages the node processed while timed
     int64_t self_ns = 0;
   };
 
@@ -50,20 +54,31 @@ class ProfileAccumulator {
   ProfileAccumulator(const ProfileAccumulator&) = delete;
   ProfileAccumulator& operator=(const ProfileAccumulator&) = delete;
 
-  // Monotonic nanoseconds; any consistent clock works (the accumulator only
-  // uses differences, so the network may pass trace-recorder timestamps).
+  // Also writes every Record as a span on track node+1 of `recorder`, and
+  // moves this clock's origin onto the recorder's so span timestamps line
+  // up with the recorder's other events.  Call before the first Record.
+  void AttachRecorder(TraceRecorder* recorder) {
+    recorder_ = recorder;
+    origin_ = recorder->origin();
+    span_name_ = recorder->InternName("batch");
+  }
+
+  // Monotonic nanoseconds since the origin.
   int64_t NowNs() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now() - origin_)
         .count();
   }
 
-  // Attributes one message delivery, bracketed by [start_ns, end_ns), to
-  // `node`.
-  void Record(int node, int64_t start_ns, int64_t end_ns) {
+  // Attributes one node batch of `messages` messages, bracketed by
+  // [start_ns, end_ns), to `node`.
+  void Record(int node, size_t messages, int64_t start_ns, int64_t end_ns) {
     NodeCost& cost = nodes_[static_cast<size_t>(node)];
-    ++cost.deliveries;
+    cost.deliveries += static_cast<int64_t>(messages);
     cost.self_ns += end_ns - start_ns;
+    if (recorder_ != nullptr) {
+      recorder_->RecordSpan(node + 1, span_name_, start_ns, end_ns);
+    }
   }
 
   const std::vector<NodeCost>& nodes() const { return nodes_; }
@@ -77,6 +92,8 @@ class ProfileAccumulator {
  private:
   std::chrono::steady_clock::time_point origin_;
   std::vector<NodeCost> nodes_;
+  TraceRecorder* recorder_ = nullptr;
+  int span_name_ = 0;
 };
 
 // One network node's attribution row.

@@ -1,12 +1,13 @@
 // Always-on statistical sampling profiler (DESIGN.md §13).
 //
 // The full EXPLAIN/PROFILE instrumentation (obs/profile.h) brackets every
-// message delivery with clock reads — precise, but a multiple of the
-// observe=off cost, so serving runs leave it off and attribution goes dark.
-// This controller closes the gap with batch-granular sampling: engines that
-// hold a SamplingProfiler draw once per delivered event batch, and only a
-// sampled batch (1 of every `period`) is swept with a private
-// ProfileAccumulator attached, which times each message.  Per-node self-time
+// node batch of every sweep with clock reads — precise, but a multiple of
+// the observe=off cost on one-event qualifier sweeps, so serving runs leave
+// it off and attribution goes dark.  This controller closes the gap with
+// batch-granular sampling: engines that hold a SamplingProfiler draw once
+// per delivered event batch, and only a sampled batch (1 of every `period`)
+// is swept with the engine's ProfileAccumulator attached, which brackets
+// each node batch of its sweeps.  Per-node self-time
 // *shares* estimated from sampled batches converge on the full profile's
 // shares (batches are drawn on a fixed stride, so every phase of a stream is
 // represented), while the cost is the instrumentation tax divided by the
@@ -62,7 +63,7 @@ class SamplingProfiler {
   }
 
   // One draw per delivered event batch.  True on the sampling stride: the
-  // caller routes that batch through the instrumented delivery path.
+  // caller sweeps that batch with its instrument attached.
   bool ShouldSample() {
     const int period = period_.load(std::memory_order_relaxed);
     if (period <= 0) return false;

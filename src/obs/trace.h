@@ -1,18 +1,19 @@
 // Bounded trace recorder with Chrome trace-event export.
 //
-// Captures per-event and per-transducer spans of a streaming run into a
+// Captures per-sweep and per-transducer spans of a streaming run into a
 // fixed-capacity ring buffer (old spans are overwritten, so memory stays
 // bounded however long the stream runs — the same discipline as the engine
 // itself) and exports them as Chrome trace-event JSON, loadable in
 // chrome://tracing and Perfetto.
 //
 // Track model: pid is always 1; each tid is one track.  The SPEX engine maps
-// tid 0 to the document stream (one span per document message, covering its
-// whole one-event network sweep) and tid i+1 to network node i (one span per
-// message the node processes, inside the enclosing event's span; node spans
-// do not nest into each other because the sweep runs each node's work under
-// its own bracket).  Track display names are registered with SetTrackName
-// and exported as thread_name metadata.
+// tid 0 to the document stream (one span per network sweep — one event on a
+// network with condition variables, the whole fed batch otherwise) and tid
+// i+1 to network node i (one span per node batch the node processes, written
+// by the sweep's instrument — see obs/profile.h — inside the enclosing
+// sweep's span; node spans do not nest into each other because the sweep
+// runs each node's work under its own bracket).  Track display names are
+// registered with SetTrackName and exported as thread_name metadata.
 //
 // Multi-worker runs (the engine pool): each worker's recorder stamps its
 // worker index into the tid space via SetTidBase(worker * kWorkerTidStride),
@@ -23,8 +24,9 @@
 // each recorder's private clock origin onto the merger's epoch.
 //
 // Span names are interned once (InternName) so recording a span is a ring
-// store plus two clock reads — cheap enough for observe=full, and entirely
-// absent from the build's hot path when no recorder is attached.
+// store plus two clock reads per sweep or node batch — cheap enough for
+// observe=full, and entirely absent from the hot path when no recorder is
+// attached.
 
 #ifndef SPEX_OBS_TRACE_H_
 #define SPEX_OBS_TRACE_H_

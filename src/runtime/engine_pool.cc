@@ -266,7 +266,7 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
       }
       extras.sampled_batches = engine_->sampled_batches();
       if (extras.sampled_batches > 0) {
-        const obs::ProfileReport report = engine_->SampledProfile();
+        const obs::ProfileReport report = engine_->Profile();
         for (const obs::ProfileNode& node : report.nodes) {
           if (node.deliveries == 0 && node.self_ns == 0) continue;
           QueryHotNode hot;
@@ -414,8 +414,8 @@ EnginePool::EnginePool(PoolOptions options)
   backpressure_waits_ =
       metrics_.AddAtomicCounter("spex_pool_backpressure_waits");
   metrics_.SetHelp("spex_pool_sampled_batches",
-                   "Event batches routed through the sampling profiler's "
-                   "instrumented delivery path.");
+                   "Event batches swept with the sampling profiler's "
+                   "per-node instrument attached.");
   metrics_.AddCallbackCounter("spex_pool_sampled_batches", {},
                               [this] { return sampler_.sampled_batches(); });
   // Which SIMD scanning backend the parser's runtime dispatch resolved —

@@ -92,11 +92,6 @@ void SpexEngine::Finalize() {
   finalized_ = true;
   compiled_ = graph_->Compile(sinks_, context_.get());
   const EngineOptions& options = context_->options;
-  if (options.profile) {
-    profiler_ = std::make_unique<obs::ProfileAccumulator>(
-        compiled_.network.node_count());
-    compiled_.network.SetProfiler(profiler_.get());
-  }
   if (options.record_traces) {
     traces_.reserve(compiled_.network.node_count());
     for (int i = 0; i < compiled_.network.node_count(); ++i) {
@@ -107,6 +102,17 @@ void SpexEngine::Finalize() {
   if (options.observe != ObserveLevel::kOff) {
     obs_ = std::make_unique<EngineObservability>(
         context_.get(), &compiled_.network, options.trace_capacity);
+  }
+  // The one instrument (DESIGN.md §8): profile and observe=full time every
+  // node batch of every sweep; the trace recorder, when present, receives
+  // one span per bracket.
+  if (instrumented()) {
+    profiler_ = std::make_unique<obs::ProfileAccumulator>(
+        compiled_.network.node_count());
+    if (obs_ != nullptr && obs_->trace_recorder() != nullptr) {
+      profiler_->AttachRecorder(obs_->trace_recorder());
+    }
+    compiled_.network.SetInstrument(profiler_.get());
   }
   // Pull collectors over state the components maintain unconditionally —
   // registered at every observe level so the registry (and ComputeStats,
@@ -134,11 +140,10 @@ void SpexEngine::Finalize() {
   // The sweep size, chosen here and nowhere else (DESIGN.md §11).  A
   // network with condition variables sweeps one event at a time: VC/VF/VD/OU
   // share one assignment, so a longer sweep would let a node see a
-  // determination from a later event.  observe=full does too, so its trace
-  // keeps one span per event.  Every other network sweeps the whole batch.
-  sweep_events_ = compiled_.batchable && trace_recorder() == nullptr
-                      ? std::numeric_limits<size_t>::max()
-                      : 1;
+  // determination from a later event.  Every other network sweeps the whole
+  // batch.
+  sweep_events_ =
+      compiled_.batchable ? std::numeric_limits<size_t>::max() : 1;
   if (guarded_) open_path_.reserve(64);
   run_start_ = std::chrono::steady_clock::now();
   if (options.limits.deadline_ms > 0) {
@@ -173,21 +178,20 @@ void SpexEngine::OnEventBatch(const StreamEvent* events, size_t count) {
 }
 
 void SpexEngine::SampleBatch(const StreamEvent* events, size_t count) {
-  if (profiler_ != nullptr) {
-    // options.profile already instruments every delivery; sampling on top
-    // would only steal its attributions.
+  if (instrumented()) {
+    // Every sweep is already timed; sampling on top would count nothing new.
     OnEventBatchUnsampled(events, count);
     return;
   }
-  if (sample_profiler_ == nullptr) {
-    sample_profiler_ = std::make_unique<obs::ProfileAccumulator>(
+  if (profiler_ == nullptr) {
+    profiler_ = std::make_unique<obs::ProfileAccumulator>(
         compiled_.network.node_count());
   }
-  // With a profiler attached the sweep times every message — exactly what a
-  // full profile does, for this one batch.
-  compiled_.network.SetProfiler(sample_profiler_.get());
+  // The instrument attached for this one batch: exactly what a full profile
+  // records for it.
+  compiled_.network.SetInstrument(profiler_.get());
   OnEventBatchUnsampled(events, count);
-  compiled_.network.SetProfiler(nullptr);
+  compiled_.network.SetInstrument(nullptr);
   ++sampled_batches_;
 }
 
@@ -213,26 +217,11 @@ void SpexEngine::DeliverEventBatch(const StreamEvent* events, size_t count) {
 }
 
 size_t SpexEngine::Sweep(const StreamEvent* events, size_t count) {
-  const size_t limit = std::min(count, sweep_events_);
-  message_batch_.clear();
-  message_batch_.reserve(limit);
-  SymbolTable* symbols = context_->symbol_table();
   // Zero-copy delivery: each message borrows its event, which outlives the
-  // sweep.  Events not stamped by a parser are interned here so the label
-  // transducers always take the integer fast path.  A sweep ends at </$>:
-  // the output transducers flush there, before anything that (bogusly)
-  // follows it.
-  bool saw_end = false;
-  size_t n = 0;
-  while (n < limit && !saw_end) {
-    const StreamEvent& e = events[n++];
-    Message m = Message::DocumentRef(e);
-    if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
-      m.symbol = symbols->Intern(e.name);
-    }
-    saw_end = e.kind == EventKind::kEndDocument;
-    message_batch_.push_back(std::move(m));
-  }
+  // sweep.
+  const size_t n = context_->BuildSweep(
+      events, std::min(count, sweep_events_), &message_batch_);
+  const bool saw_end = events[n - 1].kind == EventKind::kEndDocument;
   events_processed_ += static_cast<int64_t>(n);
   // Observability costs this one branch when disabled (DESIGN.md §7).
   if (!observed_path_) [[likely]] {
@@ -253,16 +242,7 @@ size_t SpexEngine::Sweep(const StreamEvent* events, size_t count) {
     document_ended_ = true;
     FlushOutputs();
   }
-  // End-of-sweep garbage collection: with eager updates, formulas referring
-  // to a retired variable were rewritten while its determination propagated
-  // this sweep, so the binding can go.  (Lazy mode keeps every binding.)
-  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
-      !context_->retired_variables.empty()) {
-    for (VarId v : context_->retired_variables) {
-      context_->assignment.Erase(v);
-    }
-    context_->retired_variables.clear();
-  }
+  context_->EndRound();
   return n;
 }
 
@@ -485,8 +465,7 @@ RunStats SpexEngine::ComputeStats() const {
   return stats;
 }
 
-obs::ProfileReport SpexEngine::BuildReport(
-    const obs::ProfileAccumulator* profiler) const {
+obs::ProfileReport SpexEngine::Profile() const {
   std::string query;
   for (int i = 0; i < graph_->query_count(); ++i) {
     if (i > 0) query += "; ";
@@ -494,17 +473,9 @@ obs::ProfileReport SpexEngine::BuildReport(
   }
   const obs::MetricsSnapshot snap = context_->metrics.Collect();
   return BuildProfileReport(compiled_.network, std::move(query),
-                            events_processed_, profiler,
+                            events_processed_, profiler_.get(),
                             snap.Value("spex_formula_pool_high_water"),
                             snap.Value("spex_formula_pool_allocs"));
-}
-
-obs::ProfileReport SpexEngine::Profile() const {
-  return BuildReport(profiler_.get());
-}
-
-obs::ProfileReport SpexEngine::SampledProfile() const {
-  return BuildReport(sample_profiler_.get());
 }
 
 int64_t SpexEngine::result_count(int query_id) const {

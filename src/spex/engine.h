@@ -129,10 +129,10 @@ class SpexEngine : public EventSink {
   // reaches the network through Network::DeliverBatch.  A network without
   // condition variables (CompiledNetwork::batchable) takes the whole batch
   // in one sweep, with one virtual dispatch and one stats flush per
-  // transducer, governed or not; qualifier / preceding-axis networks and
-  // observe=full runs sweep one event at a time, and runs with byte limits
-  // feed one event at a time so the limits are checked after every event.
-  // The events must outlive the call (zero-copy borrowing at batch scope).
+  // transducer, governed or instrumented or not; qualifier / preceding-axis
+  // networks sweep one event at a time, and runs with byte limits feed one
+  // event at a time so the limits are checked after every event.  The
+  // events must outlive the call (zero-copy borrowing at batch scope).
   void OnEventBatch(const StreamEvent* events, size_t count) override;
 
   // kOk while the run is healthy; the breach status once the governor
@@ -191,31 +191,30 @@ class SpexEngine : public EventSink {
   RunStats ComputeStats() const;
 
   // EXPLAIN/PROFILE: per-node cost attribution with query provenance (see
-  // obs/profile.h).  Timed (self-time shares, deliveries) when
-  // options.profile was set; otherwise a static plan — provenance, predicted
-  // cost classes, and whatever message counts have accrued.  Callable at any
-  // point of the stream.  report.query defaults to the compiled queries'
-  // round-trip syntax ("; "-separated); callers holding the original query
-  // text (whose byte offsets the spans index) may overwrite it.
+  // obs/profile.h).  Timed (self-time shares, deliveries) once the engine's
+  // instrument has timed any sweep — every sweep under options.profile or
+  // observe=full, the sampled batches under SetBatchSampler; otherwise a
+  // static plan — provenance, predicted cost classes, and whatever message
+  // counts have accrued.  Callable at any point of the stream.  report.query
+  // defaults to the compiled queries' round-trip syntax ("; "-separated);
+  // callers holding the original query text (whose byte offsets the spans
+  // index) may overwrite it.
   obs::ProfileReport Profile() const;
 
   // Always-on statistical sampling (DESIGN.md §13): with a controller
   // attached, each OnEventBatch call draws once and the ~1/period batches
-  // that win are swept with a private ProfileAccumulator attached, which
-  // times every message — continuous attribution at a fraction of
-  // options.profile's cost.  The controller is shared (typically pool-wide)
-  // and must outlive the engine; a full profiler (options.profile) takes
-  // precedence, since every batch is already instrumented then.  The
-  // per-event OnEvent path never samples: sampling is batch-granular by
+  // that win are swept with the engine's instrument attached, which brackets
+  // every node batch of their sweeps — continuous attribution in Profile()
+  // at a fraction of options.profile's cost.  The controller is shared
+  // (typically pool-wide) and must outlive the engine; options.profile and
+  // observe=full take precedence, since every sweep is already timed then.
+  // The per-event OnEvent path never samples: sampling is batch-granular by
   // design (the draw must stay off the per-event hot path).
   void SetBatchSampler(obs::SamplingProfiler* sampler) {
     sampler_ctl_ = sampler;
   }
   // Batches this engine actually sampled.
   int64_t sampled_batches() const { return sampled_batches_; }
-  // Attribution report over the sampled batches (timed iff any batch was
-  // sampled); same shape as Profile().
-  obs::ProfileReport SampledProfile() const;
 
   // The run's live metrics registry (see obs/metrics.h).  Pull collectors
   // over the network/output/formula-pool state are registered at Finalize
@@ -258,9 +257,14 @@ class SpexEngine : public EventSink {
   const TransducerTrace* trace(const std::string& name) const;
 
  private:
+  // True when every sweep runs under the instrument (options.profile or an
+  // observe=full trace recorder).
+  bool instrumented() const {
+    return context_->options.profile || trace_recorder() != nullptr;
+  }
   // OnEventBatch after the sampling draw.
   void OnEventBatchUnsampled(const StreamEvent* events, size_t count);
-  // Sampled batch: instrumented delivery into sample_profiler_.
+  // Sampled batch: delivery with profiler_ attached.
   void SampleBatch(const StreamEvent* events, size_t count);
   // Governed per-event path: limit checks + open-path tracking around
   // one-event delivery.  Entered only when guarded_ (limits or tracking on).
@@ -280,7 +284,6 @@ class SpexEngine : public EventSink {
   void FreezeCertainResults();
   void FlushOutputs();
   void MaybeEmitProgress();
-  obs::ProfileReport BuildReport(const obs::ProfileAccumulator* profiler) const;
 
   std::unique_ptr<RunContext> context_;
   // Non-null only for template-instantiated engines: keeps the shared
@@ -297,19 +300,20 @@ class SpexEngine : public EventSink {
   CompiledNetwork compiled_;
   std::vector<std::unique_ptr<TransducerTrace>> traces_;
   std::unique_ptr<EngineObservability> obs_;  // non-null iff observe != kOff
-  std::unique_ptr<obs::ProfileAccumulator> profiler_;  // iff options.profile
-  // Batch sampling (SetBatchSampler): shared controller, lazily-built
-  // private accumulator for the sampled batches.
+  // The engine's one instrument: attached to every sweep when instrumented(),
+  // built lazily and attached around each sampled batch otherwise; null
+  // until something was timed.
+  std::unique_ptr<obs::ProfileAccumulator> profiler_;
+  // Batch sampling (SetBatchSampler): shared controller.
   obs::SamplingProfiler* sampler_ctl_ = nullptr;
-  std::unique_ptr<obs::ProfileAccumulator> sample_profiler_;
   int64_t sampled_batches_ = 0;
   int64_t events_processed_ = 0;
   // True when OnEvent must take the governed path (limits configured or
   // track_open_elements): the unguarded hot path tests exactly this flag.
   bool guarded_ = false;
   // Most events one network sweep may carry: 1 for a network with condition
-  // variables or an observe=full run, unbounded otherwise.  Computed once in
-  // Finalize from the compiled network; not a user option.
+  // variables, unbounded otherwise.  Computed once in Finalize from
+  // CompiledNetwork::batchable; not a user option.
   size_t sweep_events_ = 1;
   // Reusable message buffer of the sweep; capacity circulates with the
   // network's pending buffers, so steady state allocates nothing.

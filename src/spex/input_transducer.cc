@@ -4,39 +4,25 @@ namespace spex {
 
 InputTransducer::InputTransducer() : Transducer("IN") {}
 
-template <typename Out>
-void InputTransducer::Process(Message&& message, Out* out) {
-  if (!activated_ && message.is_document() &&
-      message.event_kind == EventKind::kStartDocument) {
-    Fire(1);
-    activated_ = true;
-    EmitTo(out, 0, Message::Activation(Formula::True()));
-  }
-  EmitTo(out, 0, std::move(message));
-}
-
-void InputTransducer::OnMessage(int port, Message message, Emitter* out) {
-  (void)port;
-  CountIn(message);
-  Process(std::move(message), out);
-  FinishMessage();
-}
-
 void InputTransducer::OnBatch(int port, Message* messages, size_t count,
                               BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
+  (void)port;
+  size_t i = 0;
+  if (!activated_) [[unlikely]] {
+    for (; i < count && !activated_; ++i) {
+      Message& m = messages[i];
+      if (m.is_document() && m.event_kind == EventKind::kStartDocument) {
+        Fire(1);
+        activated_ = true;
+        EmitTo(out, 0, Message::Activation(Formula::True()));
+      }
+      EmitTo(out, 0, std::move(m));
+    }
   }
-  NoteBatchIn(messages, count);
-  if (activated_) [[likely]] {
-    // Steady state: IN forwards everything unchanged.  O(1) per batch — the
-    // whole input vector becomes the deferred run (swapped downstream).
-    stats_.messages_out += static_cast<int64_t>(count);
-    out->ForwardAll(0);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+  // Steady state: IN forwards everything unchanged.  O(1) per batch — the
+  // rest of the input becomes the deferred run (swapped downstream).
+  stats_.messages_out += static_cast<int64_t>(count - i);
+  out->Forward(0, messages + i, count - i);
 }
 
 }  // namespace spex

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "obs/profile.h"
-#include "obs/trace.h"
 
 namespace spex {
 
@@ -41,21 +40,6 @@ void Network::SetConsumer(int tape, int node, int in_port) {
   nodes_[node].in_tapes[in_port] = tape;
 }
 
-void Network::SetTraceRecorder(obs::TraceRecorder* recorder) {
-  trace_recorder_ = recorder;
-  if (recorder != nullptr) {
-    kind_name_ids_[0] = recorder->InternName("document");
-    kind_name_ids_[1] = recorder->InternName("activation");
-    kind_name_ids_[2] = recorder->InternName("determination");
-  }
-  instrumented_ = trace_recorder_ != nullptr || profiler_ != nullptr;
-}
-
-void Network::SetProfiler(obs::ProfileAccumulator* profiler) {
-  profiler_ = profiler;
-  instrumented_ = trace_recorder_ != nullptr || profiler_ != nullptr;
-}
-
 void Network::SetProvenance(int node, SourceSpan span, std::string fragment) {
   nodes_[node].provenance.span = span;
   nodes_[node].provenance.fragment = std::move(fragment);
@@ -78,45 +62,27 @@ void Network::DeliverBatch(int node, int in_port, std::vector<Message>* batch) {
   pending_[node][in_port].swap(*batch);
   const int n = node_count();
   for (int id = node; id < n; ++id) {
+    Transducer* transducer = nodes_[id].transducer.get();
     for (int port = 0; port < 2; ++port) {
       std::vector<Message>& q = pending_[id][port];
       if (q.empty()) continue;
-      if (instrumented_) [[unlikely]] {
-        DrainInstrumented(id, port, &q);
-      } else {
-        BatchEmitter emitter(PendingFor(id, 0), PendingFor(id, 1), &q, 0,
-                             q.size());
-        // Emissions only target higher node ids (asserted in PendingFor), so
-        // `q` is never reallocated while OnBatch runs over it.
-        nodes_[id].transducer->OnBatch(port, q.data(), q.size(), &emitter);
+      // Emissions only target higher node ids (asserted in PendingFor), so
+      // `q` is never reallocated while Deliver runs over it.
+      BatchEmitter emitter(PendingFor(id, 0), PendingFor(id, 1), &q);
+      if (instrument_ == nullptr) [[likely]] {
+        transducer->Deliver(port, q.data(), q.size(), &emitter);
         emitter.Finish();  // May swap q wholesale into the consumer's queue.
+      } else {
+        // Nothing nests inside the bracket: downstream work runs later in
+        // the sweep, under its own node's bracket.
+        const size_t count = q.size();
+        const int64_t start = instrument_->NowNs();
+        transducer->Deliver(port, q.data(), count, &emitter);
+        emitter.Finish();
+        instrument_->Record(id, count, start, instrument_->NowNs());
       }
       q.clear();
     }
-  }
-}
-
-void Network::DrainInstrumented(int id, int port, std::vector<Message>* q) {
-  // One pair of clock reads per message, shared by the trace span and the
-  // profiler (the profiler only uses differences, so either clock origin
-  // works).  Nothing nests inside the bracket: downstream work runs later in
-  // the sweep, under its own node's bracket.
-  std::vector<Message>* out0 = PendingFor(id, 0);
-  std::vector<Message>* out1 = PendingFor(id, 1);
-  Transducer* transducer = nodes_[id].transducer.get();
-  for (size_t i = 0; i < q->size(); ++i) {
-    const int kind = static_cast<int>((*q)[i].kind);
-    const int64_t start = trace_recorder_ != nullptr ? trace_recorder_->NowNs()
-                                                     : profiler_->NowNs();
-    BatchEmitter emitter(out0, out1, q, i, 1);
-    transducer->OnBatch(port, q->data() + i, 1, &emitter);
-    emitter.Finish();  // Swaps only when q holds this one message.
-    const int64_t end = trace_recorder_ != nullptr ? trace_recorder_->NowNs()
-                                                   : profiler_->NowNs();
-    if (trace_recorder_ != nullptr) {
-      trace_recorder_->RecordSpan(id + 1, kind_name_ids_[kind], start, end);
-    }
-    if (profiler_ != nullptr) profiler_->Record(id, start, end);
   }
 }
 

@@ -26,7 +26,6 @@ namespace spex {
 
 namespace obs {
 class ProfileAccumulator;
-class TraceRecorder;
 struct ProfileReport;
 }
 
@@ -62,7 +61,7 @@ class Network {
   // The one way messages move through the network (DESIGN.md §11): injects
   // `batch` at node `node` and sweeps the network once in topological node
   // order, handing each node its pending input sequence in one
-  // Transducer::OnBatch call per port.  On return every message has been
+  // Transducer::Deliver call per port.  On return every message has been
   // fully processed (all pending buffers are drained) and *batch holds an
   // empty vector whose capacity is recycled.
   //
@@ -73,22 +72,18 @@ class Network {
   // i.e. for networks without condition variables (no VC/VD/PR nodes).
   // Nodes are added in topological order, so a single ascending sweep sees
   // every pending message; document payload borrows (Message::DocumentRef)
-  // must stay valid until DeliverBatch returns.  With a trace recorder or
-  // profiler attached, each node's queue is handed to OnBatch one message at
-  // a time, each call bracketed by one pair of clock reads.
+  // must stay valid until DeliverBatch returns.
   void DeliverBatch(int node, int in_port, std::vector<Message>* batch);
 
-  // Attaches a span recorder (observe=full): every message a node processes
-  // records a span on track node+1, named after the message kind.  A span
-  // covers that node's own work only — the sweep never nests deliveries.
-  // Null detaches; when neither a recorder nor a profiler is attached the
-  // sweep pays one branch per node queue.
-  void SetTraceRecorder(obs::TraceRecorder* recorder);
-
-  // Attaches a per-node cost accumulator (--profile): every message a node
-  // processes is timed with the same clock reads the trace spans use.  Null
-  // detaches.
-  void SetProfiler(obs::ProfileAccumulator* profiler);
+  // Attaches the one instrument (profile, observe=full, a sampled batch):
+  // each node-port Deliver call of the sweep is bracketed by one pair of
+  // clock reads and recorded into `instrument` with its message count (and,
+  // through the instrument's trace recorder, as one span).  A bracket covers
+  // that node's own work only — the sweep never nests deliveries.  Null
+  // detaches; the sweep then pays one branch per node queue.
+  void SetInstrument(obs::ProfileAccumulator* instrument) {
+    instrument_ = instrument;
+  }
 
   // Records the query provenance of `node` (see NodeProvenance).
   void SetProvenance(int node, SourceSpan span, std::string fragment);
@@ -150,10 +145,6 @@ class Network {
     int consumer_port = -1;
   };
 
-  // Instrumented drain of node `id`'s queue `q` on input `port`: one OnBatch
-  // call per message, each timed into the trace recorder and the profiler.
-  void DrainInstrumented(int id, int port, std::vector<Message>* q);
-
   // Pending buffer of the consumer wired to `node`'s output `port`, or null
   // when the tape dangles (the sink's unused output).
   std::vector<Message>* PendingFor(int node, int port);
@@ -171,13 +162,7 @@ class Network {
   // the first DeliverBatch.  Steady state reuses the vectors' capacity, so a
   // sweep allocates nothing.
   std::vector<std::array<std::vector<Message>, 2>> pending_;
-  obs::TraceRecorder* trace_recorder_ = nullptr;
-  obs::ProfileAccumulator* profiler_ = nullptr;
-  // True iff a trace recorder or profiler is attached — the one predicted
-  // branch per node queue the sweep pays when observation is off.
-  bool instrumented_ = false;
-  // Interned span names, one per MessageKind.
-  int kind_name_ids_[3] = {0, 0, 0};
+  obs::ProfileAccumulator* instrument_ = nullptr;
 };
 
 }  // namespace spex

@@ -75,7 +75,6 @@ EngineObservability::EngineObservability(RunContext* context, Network* network,
     for (int i = 0; i < network->node_count(); ++i) {
       trace_->SetTrackName(i + 1, prefix + network->node(i)->name());
     }
-    network->SetTraceRecorder(trace_.get());
   }
   context->observer = &observer_;
 }

@@ -8,9 +8,10 @@
 //    published.
 //  * ObserveLevel::kCounters — one counter add per sweep and the output
 //    decision-delay histogram; no clock reads, no allocation.
-//  * ObserveLevel::kFull     — additionally one-event sweeps and two clock
-//    reads per message delivery for latency histograms and Chrome-trace
-//    spans.
+//  * ObserveLevel::kFull     — additionally two clock reads per sweep (the
+//    per-sweep latency histogram and stream-track span) and two per node
+//    batch (the sweep's instrument, obs/profile.h, which writes one
+//    Chrome-trace span per node batch).  The sweep size does not change.
 //
 // The pull collectors (Register*Collectors) expose state the components
 // maintain unconditionally anyway (TransducerStats, OutputStats, the formula
@@ -104,9 +105,9 @@ class EngineObservability {
   // performs it.  Increment(count) sums exactly to `count` per-event
   // Increments, so spex_events_total is precise at any sweep size;
   // per-event-indexed observations (decision delay) are quantized to sweep
-  // boundaries.  With a trace recorder the engine sweeps one event at a
-  // time, and the sweep records a span named after that event's `kind` on
-  // the stream track.
+  // boundaries.  With a trace recorder the sweep records one span on the
+  // stream track, named after the kind of its last event `kind`, and its
+  // wall time in spex_event_latency_ns (per sweep, despite the name).
   template <typename Fn>
   void ObserveDelivery(EventKind kind, int64_t event_index, int64_t count,
                        Fn&& deliver) {

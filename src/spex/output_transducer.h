@@ -121,10 +121,6 @@ class OutputTransducer : public Transducer {
  public:
   OutputTransducer(ResultSink* sink, RunContext* context);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
-
   // Must be called once the stream ended: decides all remaining candidates
   // (a still-undetermined variable can no longer become true).
   void Flush();
@@ -160,8 +156,9 @@ class OutputTransducer : public Transducer {
     return context_->options.output_order == OutputOrder::kDetermination;
   }
 
-  // OnMessage minus the per-message bookkeeping (OU is the network sink, so
-  // no emitter is needed); shared by the per-message and batch paths.
+  // OU is the network sink: it has no output tape, so `out` goes unused.
+  void OnBatch(int port, Message* messages, size_t count,
+               BatchEmitter* out) override;
   void HandleMessage(Message&& message);
   void StartCandidate(Formula formula);
   void HandleDocument(const StreamEvent& event);

@@ -2,30 +2,31 @@
 
 namespace spex {
 
-namespace {
-
-// Emitter adapter used by the default OnBatch: forwards into the batch
-// pending buffers so un-overridden transducers participate in batched
-// delivery with unchanged per-message semantics (including traces).
-class BatchForwardEmitter final : public Emitter {
- public:
-  explicit BatchForwardEmitter(BatchEmitter* out) : out_(out) {}
-  void Emit(int port, Message message) override {
-    out_->Emit(port, std::move(message));
+size_t RunContext::BuildSweep(const StreamEvent* events, size_t count,
+                              std::vector<Message>* batch) {
+  batch->clear();
+  batch->reserve(count);
+  SymbolTable* symbols = symbol_table();
+  size_t n = 0;
+  while (n < count) {
+    const StreamEvent& e = events[n++];
+    Message m = Message::DocumentRef(e);
+    if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
+      m.symbol = symbols->Intern(e.name);
+    }
+    batch->push_back(std::move(m));
+    if (e.kind == EventKind::kEndDocument) break;
   }
+  return n;
+}
 
- private:
-  BatchEmitter* out_;
-};
-
-}  // namespace
-
-void Transducer::OnBatch(int port, Message* messages, size_t count,
-                         BatchEmitter* out) {
-  BatchForwardEmitter forward(out);
-  for (size_t i = 0; i < count; ++i) {
-    OnMessage(port, std::move(messages[i]), &forward);
+void RunContext::EndRound() {
+  if (!options.eager_formula_update || !allow_variable_gc ||
+      retired_variables.empty()) {
+    return;
   }
+  for (VarId v : retired_variables) assignment.Erase(v);
+  retired_variables.clear();
 }
 
 std::string TransducerTrace::ToString() const {

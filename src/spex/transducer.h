@@ -23,41 +23,32 @@
 
 namespace spex {
 
-// Receives the messages a transducer emits.  `port` selects the output tape
-// (always 0 except for the split transducer, which also writes port 1).
-class Emitter {
- public:
-  virtual ~Emitter() = default;
-  virtual void Emit(int port, Message message) = 0;
-};
-
-// Non-virtual emitter of the network sweep (Network::DeliverBatch): routes
-// emitted messages to the consumer nodes' pending buffers.  Final so
-// EmitTo(BatchEmitter*, ...) inlines — one virtual dispatch per *batch*, not
-// per message.
+// The emitter of the network sweep (Network::DeliverBatch): routes emitted
+// messages to the consumer nodes' pending buffers.  Final and non-virtual,
+// so EmitTo inlines — one virtual dispatch per *batch*, not per message.
 //
 // Pass-through elision: most transducers forward most document messages
-// unchanged, and the emitted object IS the input-buffer element (Process
-// takes Message&& and EmitTo forwards the reference).  Emit detects that by
-// address and defers such messages as a contiguous *run* over the input
-// buffer instead of moving them out one by one.  Finish() then either swaps
-// the whole input vector into the consumer's queue (the run covers the
-// entire batch — zero per-message work) or bulk-moves the run.  A fresh
-// message emitted to the run's port, or a consumed input message breaking
-// contiguity, materializes the run first, so each port's output sequence is
-// exactly the per-message emission order.
+// unchanged, and the emitted object IS the input-buffer element (OnBatch
+// overrides process Message&& references into the buffer and EmitTo
+// forwards the reference).  Emit detects that by address and defers such
+// messages as a contiguous *run* over the input buffer instead of moving
+// them out one by one.  Finish() then either swaps the whole input vector
+// into the consumer's queue (the run covers the entire batch — zero
+// per-message work) or bulk-moves the run.  A fresh message emitted to the
+// run's port, or a consumed input message breaking contiguity, materializes
+// the run first, so each port's output sequence is exactly the per-message
+// emission order.
 class BatchEmitter final {
  public:
   // `out0`/`out1` are the pending buffers of the consumers wired to output
   // ports 0/1 (null for a dangling port); `in` is the node's input buffer,
-  // whose messages [first, first + count) are the ones passed to OnBatch
-  // (the whole buffer, or one message at a time on an instrumented sweep).
+  // whose messages are the ones handed to Transducer::Deliver.
   BatchEmitter(std::vector<Message>* out0, std::vector<Message>* out1,
-               std::vector<Message>* in, size_t first, size_t count)
+               std::vector<Message>* in)
       : out_{out0, out1},
         in_(in),
-        in_begin_(in->data() + first),
-        in_end_(in_begin_ + count) {}
+        in_begin_(in->data()),
+        in_end_(in_begin_ + in->size()) {}
 
   void Emit(int port, Message&& message) {
     if (&message == run_end_ && port == run_port_) {  // extend the run
@@ -81,13 +72,25 @@ class BatchEmitter final {
     if (q != nullptr) q->push_back(std::move(message));
   }
 
-  // Called by the network after OnBatch returns: delivers the deferred run.
+  // Equivalent to Emit(port, std::move(messages[i])) for i in [0, count), in
+  // O(1): `messages` must be consecutive input-buffer elements (the pure
+  // pass-through case, e.g. IN once activated).
+  void Forward(int port, Message* messages, size_t count) {
+    if (count == 0) return;
+    if (messages != run_end_ || port != run_port_) {
+      MaterializeRun();
+      run_port_ = port;
+      run_begin_ = messages;
+    }
+    run_end_ = messages + count;
+  }
+
+  // Called by the network after Deliver returns: delivers the deferred run.
   // When the run is the whole input buffer and the consumer's queue is empty
   // (single producer per queue — always, except after a same-port fresh
   // emission before the run), the vectors are swapped outright.
   void Finish() {
-    if (run_begin_ == in_->data() && run_end_ == in_->data() + in_->size() &&
-        !in_->empty()) {
+    if (run_begin_ == in_begin_ && run_end_ == in_end_ && !in_->empty()) {
       std::vector<Message>* q = out_[run_port_];
       run_end_ = nullptr;
       if (q == nullptr) return;  // dangling port: batch is dropped
@@ -100,16 +103,6 @@ class BatchEmitter final {
       return;
     }
     MaterializeRun();
-  }
-
-  // Equivalent to Emit(port, ...) for every input message in order, in O(1):
-  // the whole input batch becomes the deferred run.  Only valid when nothing
-  // has been emitted yet in this OnBatch call (the pure pass-through case,
-  // e.g. IN once activated).
-  void ForwardAll(int port) {
-    run_port_ = port;
-    run_begin_ = in_begin_;
-    run_end_ = in_end_;
   }
 
  private:
@@ -168,20 +161,27 @@ class Transducer {
   Transducer(const Transducer&) = delete;
   Transducer& operator=(const Transducer&) = delete;
 
-  // Processes one message arriving on input tape `port` (0 unless the
-  // transducer is a join).  Emits output messages through `out`.
-  virtual void OnMessage(int port, Message message, Emitter* out) = 0;
-
-  // Batched delivery (DESIGN.md §11): processes `count` messages arriving on
-  // input tape `port` in sequence order, emitting into pending buffers.  The
-  // default implementation loops OnMessage through an Emitter adapter; hot
-  // transducers override it with a loop over their (inlined) transition
-  // function so the whole batch pays one virtual dispatch and one stats
-  // flush.  Overrides must preserve exactly the per-message semantics: the
-  // output sequence of each port must equal what `count` OnMessage calls
-  // would have produced.
-  virtual void OnBatch(int port, Message* messages, size_t count,
-                       BatchEmitter* out);
+  // The network's one call into a transducer: hands it `count` messages
+  // arriving on input tape `port` (0 unless the transducer is a join), in
+  // tape order, emitting through `out`.  Accounts messages_in and the
+  // activation formula peak once per batch, then runs OnBatch on the whole
+  // batch — or, while a rule trace is attached, one message at a time, so
+  // each document message closes its trace group.
+  void Deliver(int port, Message* messages, size_t count, BatchEmitter* out) {
+    stats_.messages_in += static_cast<int64_t>(count);
+    for (size_t i = 0; i < count; ++i) {
+      if (messages[i].is_activation()) NoteFormula(messages[i].formula);
+    }
+    if (trace_ == nullptr) [[likely]] {
+      OnBatch(port, messages, count, out);
+      return;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      const bool document = messages[i].is_document();
+      OnBatch(port, messages + i, 1, out);
+      if (document) trace_->EndGroup();
+    }
+  }
 
   const std::string& name() const { return name_; }
   const TransducerStats& stats() const { return stats_; }
@@ -190,47 +190,21 @@ class Transducer {
   TransducerTrace* trace() const { return trace_; }
 
  protected:
-  // Bookkeeping helpers used by subclasses.
-  void CountIn(const Message& m) {
-    ++stats_.messages_in;
-    if (m.is_activation()) {
-      stats_.formula_nodes_peak =
-          std::max(stats_.formula_nodes_peak, m.formula.NodeCount());
-    }
-    if (trace_ != nullptr && m.is_document()) pending_group_end_ = true;
-  }
-  // Called after a document message is fully handled, closing a trace group.
-  void FinishMessage() {
-    if (trace_ != nullptr && pending_group_end_) {
-      trace_->EndGroup();
-      pending_group_end_ = false;
-    }
-  }
+  // The transition function over a batch (DESIGN.md §11).  Implementations
+  // process the messages in order, taking each by Message&& so one forwarded
+  // unchanged reaches BatchEmitter::Emit under its input-buffer address
+  // (pass-through elision); they copy explicitly (Message(m)) when they need
+  // a duplicate.  Each port's output must be the concatenation of what the
+  // messages would produce one by one.
+  virtual void OnBatch(int port, Message* messages, size_t count,
+                       BatchEmitter* out) = 0;
+
   void Fire(int rule) {
     if (trace_ != nullptr) trace_->Fire(rule);
   }
-  // Templated over the emitter so OnBatch overrides (BatchEmitter) inline
-  // the pending-buffer append while OnMessage keeps the virtual call.
-  // Takes Message&& so an input-buffer element forwarded unchanged reaches
-  // BatchEmitter::Emit under its original address (pass-through elision);
-  // callers copy explicitly (Message(m)) when they need a duplicate.
-  template <typename Out>
-  void EmitTo(Out* out, int port, Message&& message) {
+  void EmitTo(BatchEmitter* out, int port, Message&& message) {
     ++stats_.messages_out;
     out->Emit(port, std::move(message));
-  }
-  // Batch equivalent of `count` CountIn calls: one messages_in add plus the
-  // per-activation formula peak scan (activations are rare on hot streams).
-  // Only valid with no trace attached — batch overrides fall back to the
-  // default OnBatch (per-message CountIn/FinishMessage) when tracing.
-  void NoteBatchIn(const Message* messages, size_t count) {
-    stats_.messages_in += static_cast<int64_t>(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (messages[i].is_activation()) {
-        stats_.formula_nodes_peak = std::max(stats_.formula_nodes_peak,
-                                             messages[i].formula.NodeCount());
-      }
-    }
   }
   void NoteDepthStack(size_t size) {
     stats_.depth_stack_peak =
@@ -250,7 +224,6 @@ class Transducer {
  private:
   std::string name_;
   TransducerTrace* trace_ = nullptr;
-  bool pending_group_end_ = false;
 };
 
 // Emission policy of the output transducer (§III.8).  With nested results
@@ -322,11 +295,12 @@ struct EngineOptions {
   // How much the run publishes into RunContext::metrics (see observe.h for
   // the per-level cost contract).  kOff costs one branch per event.
   ObserveLevel observe = ObserveLevel::kOff;
-  // Attach a per-node cost profiler: SpexEngine::Profile() then returns a
-  // *timed* attribution report (see obs/profile.h).  Orthogonal to
-  // `observe`; costs two clock reads per message delivery (the same hook
-  // observe=full uses for trace spans).  When false and observe != kFull,
-  // deliveries stay on the uninstrumented single-branch path.
+  // Attach the per-node cost instrument to every sweep:
+  // SpexEngine::Profile() then returns a *timed* attribution report (see
+  // obs/profile.h).  Costs two clock reads per node batch — the same bracket
+  // observe=full uses for its trace spans — and never changes the sweep
+  // size.  When false and observe != kFull, sweeps pay one branch per node
+  // batch for the absent instrument.
   bool profile = false;
   // Ring-buffer capacity (in trace events) of the observe=full recorder.
   size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
@@ -344,8 +318,9 @@ struct EngineOptions {
   // groups of up to this many via SpexEngine::OnEventBatch.  1 = per-event
   // feeding.  Batching is a feeding granularity only — the engine itself
   // decides how many fed events one network sweep carries (one for networks
-  // with condition variables and observe=full runs), so results, statuses
-  // and counters are identical at every batch size.
+  // with condition variables, the whole fed batch otherwise, instrumented
+  // or not), so results, statuses and counters are identical at every batch
+  // size.
   int batch_size = 64;
   // Pool-worker index stamped into the observe=full trace recorder's tid
   // space (tid = worker * obs::TraceRecorder::kWorkerTidStride + node) so
@@ -385,6 +360,20 @@ struct RunContext {
   SymbolTable* symbol_table() {
     return options.symbols != nullptr ? options.symbols : &owned_symbols_;
   }
+
+  // The round rule every engine driving a network shares.  BuildSweep fills
+  // *batch with the document messages of events[0, n) — zero-copy borrows,
+  // with labels a parser did not stamp interned here so the label
+  // transducers always take the integer fast path — and returns n: `count`,
+  // or the position just past </$> (a sweep ends there; the output
+  // transducers flush before anything that bogusly follows it).
+  size_t BuildSweep(const StreamEvent* events, size_t count,
+                    std::vector<Message>* batch);
+  // After a sweep has fully propagated: with eager updates, formulas
+  // referring to a retired variable were rewritten while its determination
+  // travelled, so the binding can go (lazy mode and order axes keep every
+  // binding).
+  void EndRound();
 
  private:
   SymbolTable owned_symbols_;

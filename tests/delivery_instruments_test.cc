@@ -1,9 +1,10 @@
 // Instruments do not change delivery: the profiler, observe=full tracing and
 // the sampling profiler all ride on the same network sweep as a plain run.
 // For the qualifier, preceding-axis and population queries of the
-// differential batteries, every instrument at batch sizes 1 and 64 must
-// produce the plain per-event run's per-slot results and every node's
-// TransducerStats, exactly.
+// differential batteries, and for batchable networks (no condition
+// variables), whose sweeps carry whole fed batches under every instrument,
+// every instrument at batch sizes 1 and 64 must produce the plain per-event
+// run's per-slot results and every node's TransducerStats, exactly.
 
 #include <gtest/gtest.h>
 
@@ -188,6 +189,28 @@ TEST(InstrumentsDoNotChangeDelivery, Populations) {
     SCOPED_TRACE("axis_percent=" + std::to_string(knobs.axis_percent));
     ExpectInstrumentsAgree(queries, events);
   }
+}
+
+// Networks without condition variables sweep each fed batch at once, with
+// or without an instrument attached: a single query and a qualifier-free
+// generated population.
+TEST(InstrumentsDoNotChangeDelivery, BatchableNetworks) {
+  const std::vector<StreamEvent> dmoz = GenerateToVector(
+      [](EventSink* s) { GenerateDmozLike(5, 0.001, false, s); });
+  {
+    SCOPED_TRACE("_*.Topic.Title");
+    ExpectInstrumentsAgree(One("_*.Topic.Title"), dmoz);
+  }
+  const std::vector<StreamEvent> events = GenerateToVector(
+      [](EventSink* s) { GenerateMondialLike(11, 0.02, s); });
+  QueryGenKnobs knobs = QueryGenKnobs::Structural();
+  knobs.labels = {"mondial", "country",   "name", "province",
+                  "city",    "religions", "_"};
+  QueryGen gen(0x5eed0020u, knobs);
+  std::vector<ExprPtr> queries;
+  for (int i = 0; i < 16; ++i) queries.push_back(gen.Gen(2 + i % 4));
+  SCOPED_TRACE("qualifier-free population");
+  ExpectInstrumentsAgree(queries, events);
 }
 
 }  // namespace

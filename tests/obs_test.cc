@@ -19,6 +19,7 @@
 #include "rpeq/parser.h"
 #include "spex/engine.h"
 #include "spex/multi_query.h"
+#include "xml/generators.h"
 #include "xml/xml_parser.h"
 
 namespace spex {
@@ -510,6 +511,57 @@ TEST(ObsEngineTest, TraceRoundTripsAsNestedChromeJson) {
   // Every node span is contained in exactly one stream span.
   for (const Span& s : spans) {
     if (s.tid == 0) continue;
+    int containers = 0;
+    for (const Span& outer : stream) {
+      if (outer.ts <= s.ts && s.ts + s.dur <= outer.ts + outer.dur) {
+        ++containers;
+      }
+    }
+    EXPECT_EQ(containers, 1) << "span on tid " << s.tid << " at " << s.ts;
+  }
+}
+
+// observe=full leaves the sweep size to the network: a batchable query fed
+// with OnEventBatch of 64 sweeps each batch at once, so the stream track
+// holds one span per sweep — fewer than the events — and every node-batch
+// span sits inside exactly one of them.
+TEST(ObsEngineTest, TraceSpansFollowBatchSweeps) {
+  ExprPtr query = MustParseRpeq("_*.Topic.Title");  // no qualifiers
+  CountingResultSink sink;
+  EngineOptions options;
+  options.observe = ObserveLevel::kFull;
+  SpexEngine engine(*query, &sink, options);
+  const std::vector<StreamEvent> events = GenerateToVector(
+      [](EventSink* s) { GenerateDmozLike(5, 0.001, false, s); });
+  const size_t kBatch = 64;
+  for (size_t i = 0; i < events.size(); i += kBatch) {
+    engine.OnEventBatch(events.data() + i,
+                        std::min(kBatch, events.size() - i));
+  }
+  ASSERT_GT(sink.results(), 0);
+  const TraceRecorder* recorder = engine.trace_recorder();
+  ASSERT_NE(recorder, nullptr);
+  EXPECT_EQ(recorder->dropped(), 0);
+
+  JsonValue root = MustParseJson(recorder->ToChromeJson());
+  const JsonValue* trace_events = root.Get("traceEvents");
+  ASSERT_NE(trace_events, nullptr);
+  struct Span {
+    int tid;
+    double ts, dur;
+  };
+  std::vector<Span> stream, nodes;
+  for (const JsonValue& e : trace_events->array) {
+    if (e.Get("ph")->str != "X") continue;
+    const Span span{static_cast<int>(e.Get("tid")->number),
+                    e.Get("ts")->number, e.Get("dur")->number};
+    (span.tid == 0 ? stream : nodes).push_back(span);
+  }
+  const size_t sweeps = (events.size() + kBatch - 1) / kBatch;
+  EXPECT_EQ(stream.size(), sweeps);
+  EXPECT_LT(stream.size(), events.size());
+  ASSERT_FALSE(nodes.empty());
+  for (const Span& s : nodes) {
     int containers = 0;
     for (const Span& outer : stream) {
       if (outer.ts <= s.ts && s.ts + s.dur <= outer.ts + outer.dur) {

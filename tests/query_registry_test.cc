@@ -432,7 +432,7 @@ TEST(SamplingProfilerTest, SampledSharesSumToAtMostOne) {
     }
   }
   ASSERT_GT(engine.sampled_batches(), 0);
-  const obs::ProfileReport report = engine.SampledProfile();
+  const obs::ProfileReport report = engine.Profile();
   EXPECT_TRUE(report.timed);
   double share_sum = 0;
   for (const obs::ProfileNode& node : report.nodes) {
@@ -468,7 +468,7 @@ TEST(SamplingProfilerTest, FullCoverageSamplingMatchesFullProfile) {
   }
   EXPECT_EQ(sampled_sink.results(), full_sink.results());
 
-  const obs::ProfileReport sampled = sampled_engine.SampledProfile();
+  const obs::ProfileReport sampled = sampled_engine.Profile();
   const obs::ProfileReport full = full_engine.Profile();
   ASSERT_EQ(sampled.nodes.size(), full.nodes.size());
   for (size_t i = 0; i < full.nodes.size(); ++i) {

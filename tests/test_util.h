@@ -18,11 +18,23 @@
 
 namespace spex {
 
-// Emitter that records everything a transducer emits.
-class TestEmitter : public Emitter {
+// Records everything a transducer emits when driven through Feed.
+class TestEmitter {
  public:
-  void Emit(int port, Message message) override {
-    messages_.emplace_back(port, std::move(message));
+  // Hands `message` to `transducer` the way the network sweep does — one
+  // Deliver call over a one-message input buffer — and appends its
+  // emissions: port 0's, then port 1's (the ports are separate tapes, so
+  // their relative order carries no meaning).
+  void Feed(Transducer* transducer, int port, Message message) {
+    in_.clear();
+    in_.push_back(std::move(message));
+    std::vector<Message> out[2];
+    BatchEmitter emitter(&out[0], &out[1], &in_);
+    transducer->Deliver(port, in_.data(), in_.size(), &emitter);
+    emitter.Finish();
+    for (int p = 0; p < 2; ++p) {
+      for (Message& m : out[p]) messages_.emplace_back(p, std::move(m));
+    }
   }
 
   const std::vector<std::pair<int, Message>>& messages() const {
@@ -44,8 +56,16 @@ class TestEmitter : public Emitter {
   }
 
  private:
+  std::vector<Message> in_;
   std::vector<std::pair<int, Message>> messages_;
 };
+
+// One message into `transducer` on input `port`, emissions recorded in
+// `out` (see TestEmitter::Feed).
+inline void Feed(Transducer* transducer, int port, Message message,
+                 TestEmitter* out) {
+  out->Feed(transducer, port, std::move(message));
+}
 
 inline Message Open(const std::string& label) {
   return Message::Document(StreamEvent::StartElement(label));

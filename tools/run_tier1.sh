@@ -52,6 +52,29 @@ echo "tier1: metrics smoke OK"
 }
 echo "tier1: explain/profile smoke OK"
 
+# Trace-export smoke: --trace-out must write a Chrome trace with spans on
+# the node tracks (tid >= 1), for a batchable query (whole-batch sweeps) and
+# a qualifier query (one-event sweeps).
+trace_dir="$(mktemp -d)"
+for trace_query in '_*.title' '_*.book[author].title'; do
+  trace_file="$trace_dir/trace.json"
+  "$binary_dir/tools/spexquery" --count --trace-out="$trace_file" \
+    "$trace_query" examples/data/catalog.xml >/dev/null || {
+    echo "tier1: spexquery --trace-out smoke failed on $trace_query" >&2
+    rm -rf "$trace_dir"
+    exit 1
+  }
+  grep -q '"traceEvents"' "$trace_file" &&
+    grep -qE '"ph": *"X", *"pid": *[0-9]+, *"tid": *[1-9]' "$trace_file" || {
+    echo "tier1: --trace-out on $trace_query has no node-track span:" >&2
+    head -c 2000 "$trace_file" >&2
+    rm -rf "$trace_dir"
+    exit 1
+  }
+done
+rm -rf "$trace_dir"
+echo "tier1: trace-out smoke OK"
+
 # Concurrent-runtime smoke: fan the bundled example document across a small
 # engine pool and check the serving summary (under asan/tsan this also puts
 # the worker queues and the shared query cache through sanitized traffic).

@@ -18,8 +18,8 @@
 //                                     result fragments are suppressed, use
 //                                     --count for the match count)
 //   spexquery --sampling=N ...        statistical sampling profiler: ~1/N
-//                                     delivery batches take the instrumented
-//                                     path; prints the sampled attribution
+//                                     delivery batches are swept with the
+//                                     instrument on; prints the attribution
 //                                     report after the run (cheap alternative
 //                                     to --profile for long streams)
 //   spexquery --observe=LEVEL ...     off|counters|full (default: the
@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
   if (opts.sampling_period > 0) {
     // Sampled attribution: same report shape as --profile, estimated from
     // the ~1/N instrumented batches.
-    spex::obs::ProfileReport report = engine.SampledProfile();
+    spex::obs::ProfileReport report = engine.Profile();
     report.query = opts.query;
     std::fprintf(stdout, "sampled batches: %lld (period %d)\n%s",
                  static_cast<long long>(engine.sampled_batches()),
