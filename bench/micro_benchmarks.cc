@@ -361,10 +361,6 @@ const char* ObserveName() {
 void FeedStream(SpexEngine* engine, const std::vector<StreamEvent>& events,
                 int batch_size) {
   const size_t step = batch_size > 1 ? static_cast<size_t>(batch_size) : 1;
-  if (step <= 1) {
-    for (const StreamEvent& e : events) engine->OnEvent(e);
-    return;
-  }
   for (size_t i = 0; i < events.size(); i += step) {
     engine->OnEventBatch(events.data() + i,
                          std::min(step, events.size() - i));

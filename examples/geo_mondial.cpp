@@ -62,17 +62,32 @@ int main(int argc, char** argv) {
   auto cq = spex::MustParseConjunctiveQuery(
       "q(N,C) :- Root(_*.country) X, X(name) N, X(province) P, P(city) C");
   std::printf("%s\n", cq->ToString().c_str());
-  std::string error;
-  auto per_head = spex::EvaluateConjunctive(*cq, events, &error);
-  if (!error.empty()) {
-    std::fprintf(stderr, "cq error: %s\n", error.c_str());
+  // One rpeq per head, run as one population: the heads share their
+  // common steps.
+  spex::StatusOr<std::vector<spex::ExprPtr>> heads =
+      spex::CompileConjunctive(*cq);
+  if (!heads.ok()) {
+    std::fprintf(stderr, "cq error: %s\n", heads.status().message().c_str());
     return 1;
   }
+  std::vector<spex::SerializingResultSink> per_head(heads->size());
+  spex::SpexEngine cq_engine;
+  for (size_t i = 0; i < heads->size(); ++i) {
+    std::printf("  %s = %s\n", cq->head[i].c_str(),
+                (*heads)[i]->ToString().c_str());
+    cq_engine.AddQuery(*(*heads)[i], &per_head[i]).value();
+  }
+  cq_engine.Finalize();
+  cq_engine.OnEventBatch(events.data(), events.size());
+  std::printf("  network degree %d (%d as separate networks)\n",
+              cq_engine.shared_degree(), cq_engine.naive_degree());
   std::printf("  N (country names, where the country has a province with a "
-              "city): %zu\n", per_head[0].size());
-  std::printf("  C (cities of such countries): %zu\n", per_head[1].size());
-  if (!per_head[0].empty()) {
-    std::printf("  first N fragment: %s\n", per_head[0][0].c_str());
+              "city): %zu\n", per_head[0].results().size());
+  std::printf("  C (cities of such countries): %zu\n",
+              per_head[1].results().size());
+  if (!per_head[0].results().empty()) {
+    std::printf("  first N fragment: %s\n",
+                per_head[0].results()[0].c_str());
   }
 
   std::printf("\n-- fragments, not just counts --\n");

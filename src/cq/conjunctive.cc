@@ -1,9 +1,9 @@
 #include "cq/conjunctive.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <set>
 
@@ -186,36 +186,43 @@ std::unique_ptr<ConjunctiveQuery> MustParseConjunctiveQuery(
 
 namespace {
 
-// Recursively folds a non-head-path variable's subtree into an rpeq with
-// nested qualifiers: the expression selects var's nodes, qualified by each
-// child subtree.
-ExprPtr BuildFoldedQualifier(
-    const ConjunctiveQuery& query,
-    const std::map<std::string, std::vector<int>>& children, int atom_index) {
-  const ConjunctiveAtom& atom = query.atoms[atom_index];
-  ExprPtr expr = atom.path->Clone();
-  auto it = children.find(atom.target);
-  if (it != children.end()) {
-    for (int child : it->second) {
-      expr = MakeQualified(std::move(expr),
-                           BuildFoldedQualifier(query, children, child));
+// The variable tree of a (desugared) CQ, and the fold of its branches into
+// rpeq qualifiers.
+struct CqTree {
+  const ConjunctiveQuery* query;
+  std::map<std::string, std::vector<int>> children;  // var -> atom indices
+  std::map<std::string, int> defining_atom;          // var -> atom index
+  std::set<std::string> on_head_path;  // heads and their ancestors
+
+  // Qualifies `expr`, which selects var's nodes, by var's branches other
+  // than `skip`: first those leading to no head, then the head-path ones, so
+  // heads sharing a variable share its no-head qualifiers (CSE).
+  ExprPtr Qualify(ExprPtr expr, const std::string& var, int skip) const {
+    auto it = children.find(var);
+    if (it == children.end()) return expr;
+    for (const bool head_path : {false, true}) {
+      for (int ai : it->second) {
+        if (ai == skip ||
+            (on_head_path.count(query->atoms[ai].target) > 0) != head_path) {
+          continue;
+        }
+        expr = MakeQualified(std::move(expr), Fold(ai));
+      }
     }
+    return expr;
   }
-  return expr;
-}
+
+  // Atom ai with its target's whole subtree folded into nested qualifiers.
+  ExprPtr Fold(int ai) const {
+    const ConjunctiveAtom& atom = query->atoms[ai];
+    return Qualify(atom.path->Clone(), atom.target, /*skip=*/-1);
+  }
+};
 
 }  // namespace
 
-ConjunctiveEngine::ConjunctiveEngine(const ConjunctiveQuery& raw_query,
-                                     const std::vector<ResultSink*>& sinks,
-                                     EngineOptions options)
-    : context_(std::make_unique<RunContext>()) {
-  context_->options = options;
-  if (sinks.size() != raw_query.head.size()) {
-    error_ = "one result sink per head variable required";
-    return;
-  }
-
+StatusOr<std::vector<ExprPtr>> CompileConjunctive(
+    const ConjunctiveQuery& raw_query) {
   // Desugar identity joins whose defining atoms all start at Root:
   //   Root(p1) Z, Root(p2) Z  ->  Root(p1 & p2) Z
   // (the node-identity join of §I; joins deeper in the graph remain future
@@ -258,172 +265,89 @@ ConjunctiveEngine::ConjunctiveEngine(const ConjunctiveQuery& raw_query,
   }
 
   // Build the variable graph and check it is a tree rooted at Root.
-  std::map<std::string, std::vector<int>> children;  // var -> atom indices
-  std::set<std::string> defined = {"Root"};
+  CqTree tree;
+  tree.query = &query;
   for (size_t i = 0; i < query.atoms.size(); ++i) {
     const ConjunctiveAtom& a = query.atoms[i];
-    if (defined.count(a.target) > 0) {
-      error_ = "variable " + a.target +
-               " is defined by multiple non-Root paths (general identity "
-               "joins are future work, paper §VII; joins of Root paths are "
-               "desugared to '&')";
-      return;
+    if (a.target == "Root" || tree.defining_atom.count(a.target) > 0) {
+      return Status::MalformedInput(
+          "variable " + a.target +
+          " is defined by multiple non-Root paths (general identity joins "
+          "are future work, paper §VII; joins of Root paths are desugared "
+          "to '&')");
     }
-    defined.insert(a.target);
-    children[a.source].push_back(static_cast<int>(i));
+    tree.defining_atom[a.target] = static_cast<int>(i);
+    tree.children[a.source].push_back(static_cast<int>(i));
   }
   for (const ConjunctiveAtom& a : query.atoms) {
-    if (defined.count(a.source) == 0) {
-      error_ = "atom source variable " + a.source + " is never defined";
-      return;
+    if (a.source != "Root" && tree.defining_atom.count(a.source) == 0) {
+      return Status::MalformedInput("atom source variable " + a.source +
+                                    " is never defined");
     }
   }
-  std::set<std::string> heads(query.head.begin(), query.head.end());
+  // Each head's chain of atoms from Root, walked up from the head; every
+  // variable on a chain leads to a head.
+  std::vector<std::vector<int>> chains;
   for (const std::string& h : query.head) {
-    if (defined.count(h) == 0) {
-      error_ = "head variable " + h + " is never defined";
-      return;
-    }
     if (h == "Root") {
-      error_ = "Root cannot be a head variable";
-      return;
+      return Status::MalformedInput("Root cannot be a head variable");
     }
-  }
-
-  // reach(Z, X): does Z's subtree contain a head variable?
-  std::map<std::string, bool> reaches;
-  // Process in reverse topological order; since targets are unique and
-  // sources precede them syntactically in well-formed queries, a fixpoint
-  // over the atom list suffices.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const ConjunctiveAtom& a : query.atoms) {
-      bool r = heads.count(a.target) > 0 || reaches[a.target];
-      if (r && !reaches[a.source]) {
-        reaches[a.source] = true;
-        changed = true;
+    if (tree.defining_atom.count(h) == 0) {
+      return Status::MalformedInput("head variable " + h +
+                                    " is never defined");
+    }
+    std::vector<int> chain;
+    for (std::string var = h; var != "Root";) {
+      if (chain.size() == query.atoms.size()) {
+        return Status::MalformedInput("head variable " + h +
+                                      " is not reachable from Root");
       }
+      tree.on_head_path.insert(var);
+      chain.push_back(tree.defining_atom.at(var));
+      var = query.atoms[chain.back()].source;
     }
+    std::reverse(chain.begin(), chain.end());
+    chains.push_back(std::move(chain));
   }
 
-  // Translation T (Fig. 16).
-  NetworkBuilder builder(&network_, context_.get());
-  int root_tape = builder.AddInput();
-  input_node_ = builder.input_node();
-  outputs_.resize(query.head.size(), nullptr);
-
-  // Recursive descent over the variable tree.
-  struct Frame {
-    std::string var;
-    int tape;
-  };
-  // Process with explicit recursion via lambda.
-  std::function<void(const std::string&, int)> compile_var =
-      [&](const std::string& var, int tape) {
-        auto it = children.find(var);
-        std::vector<int> head_atoms;
-        // 1. Atoms whose target reaches no head variable become qualifiers
-        //    on the tape itself (Fig. 16's else-branch), with their whole
-        //    subtree folded into nested rpeq qualifiers.
-        if (it != children.end()) {
-          for (int ai : it->second) {
-            const ConjunctiveAtom& a = query.atoms[ai];
-            bool target_on_head_path =
-                heads.count(a.target) > 0 || reaches[a.target];
-            if (target_on_head_path) {
-              head_atoms.push_back(ai);
-            } else {
-              ExprPtr folded = BuildFoldedQualifier(query, children, ai);
-              tape = builder.CompileQualifier(*folded, tape);
-            }
-          }
-        }
-        const bool var_is_head = heads.count(var) > 0;
-        int consumers = static_cast<int>(head_atoms.size()) +
-                        (var_is_head ? 1 : 0);
-        // Duplicate the tape for every consumer with a chain of splits.
-        std::vector<int> tapes;
-        int current = tape;
-        for (int i = 0; i + 1 < consumers; ++i) {
-          auto [t1, t2] = builder.AddSplit(current);
-          tapes.push_back(t1);
-          current = t2;
-        }
-        if (consumers > 0) tapes.push_back(current);
-        size_t next_tape = 0;
-        // 2. Conjunctive semantics across sibling branches: every consumer
-        //    (the variable's own sink, and each head-path branch) must also
-        //    require the existence of the OTHER head-path siblings.  Fig. 16
-        //    leaves this implicit (its example has a single head path); we
-        //    enforce it with sibling-existence qualifiers.
-        auto qualify_with_siblings = [&](int t, int skip_atom) {
-          for (int aj : head_atoms) {
-            if (aj == skip_atom) continue;
-            ExprPtr folded = BuildFoldedQualifier(query, children, aj);
-            t = builder.CompileQualifier(*folded, t);
-          }
-          return t;
-        };
-        if (var_is_head) {
-          int t = qualify_with_siblings(tapes[next_tape++], /*skip_atom=*/-1);
-          for (size_t h = 0; h < query.head.size(); ++h) {
-            if (query.head[h] == var) {
-              outputs_[h] = builder.AddOutput(t, sinks[h]);
-            }
-          }
-        }
-        // 3. Head-path children: C[r] then recurse.
-        for (int ai : head_atoms) {
-          const ConjunctiveAtom& a = query.atoms[ai];
-          int t = qualify_with_siblings(tapes[next_tape++], ai);
-          int out = builder.CompileExpr(*a.path, t);
-          compile_var(a.target, out);
-        }
-      };
-
-  compile_var("Root", root_tape);
-
-  for (size_t h = 0; h < query.head.size(); ++h) {
-    if (outputs_[h] == nullptr) {
-      error_ = "internal error: head variable " + query.head[h] +
-               " received no output transducer";
-      return;
+  // One rpeq per head: its chain from Root, every variable on the way
+  // qualified by its other branches.  A qualifier on Root is written ()[q].
+  std::vector<ExprPtr> rpeqs;
+  for (const std::vector<int>& chain : chains) {
+    ExprPtr expr = tree.Qualify(MakeEmpty(), "Root", chain.front());
+    if (expr->kind == ExprKind::kEmpty) expr = nullptr;
+    for (size_t i = 0; i < chain.size(); ++i) {
+      const ConjunctiveAtom& a = query.atoms[chain[i]];
+      ExprPtr step = tree.Qualify(a.path->Clone(), a.target,
+                                  i + 1 < chain.size() ? chain[i + 1] : -1);
+      expr = expr == nullptr ? std::move(step)
+                             : MakeConcat(std::move(expr), std::move(step));
     }
+    rpeqs.push_back(std::move(expr));
   }
-}
-
-ConjunctiveEngine::~ConjunctiveEngine() = default;
-
-void ConjunctiveEngine::OnEvent(const StreamEvent& event) {
-  if (!ok()) return;
-  // One event per sweep, zero-copy: a CQ network carries condition
-  // variables (its sibling qualifiers), exactly as SpexEngine sweeps them.
-  context_->BuildSweep(&event, 1, &sweep_);
-  network_.DeliverBatch(input_node_, 0, &sweep_);
-  if (event.kind == EventKind::kEndDocument) {
-    for (OutputTransducer* ou : outputs_) ou->Flush();
-  }
-  context_->EndRound();
+  return rpeqs;
 }
 
 std::vector<std::vector<std::string>> EvaluateConjunctive(
     const ConjunctiveQuery& query, const std::vector<StreamEvent>& events,
     std::string* error) {
-  std::vector<std::unique_ptr<SerializingResultSink>> sinks;
-  std::vector<ResultSink*> sink_ptrs;
-  for (size_t i = 0; i < query.head.size(); ++i) {
-    sinks.push_back(std::make_unique<SerializingResultSink>());
-    sink_ptrs.push_back(sinks.back().get());
+  StatusOr<std::vector<ExprPtr>> heads = CompileConjunctive(query);
+  std::vector<SerializingResultSink> sinks(heads.ok() ? heads->size() : 0);
+  SpexEngine engine;
+  Status status = heads.status();
+  for (size_t i = 0; status.ok() && i < sinks.size(); ++i) {
+    status = engine.AddQuery(*(*heads)[i], &sinks[i]).status();
   }
-  ConjunctiveEngine engine(query, sink_ptrs);
-  if (!engine.ok()) {
-    if (error != nullptr) *error = engine.error();
+  if (!status.ok()) {
+    if (error != nullptr) *error = status.message();
     return {};
   }
-  for (const StreamEvent& e : events) engine.OnEvent(e);
+  engine.Finalize();
+  engine.OnEventBatch(events.data(), events.size());
   std::vector<std::vector<std::string>> out;
-  for (auto& s : sinks) out.push_back(s->results());
+  for (const SerializingResultSink& sink : sinks) {
+    out.push_back(sink.results());
+  }
   return out;
 }
 

@@ -6,32 +6,33 @@
 //
 //   q(X3) :- Root(_*.a) X1, X1(b) X2, X1(c) X3
 //
-// `Root` is the special variable bound to the document root.  Following the
-// translation T of Fig. 16:
-//   * an atom whose target is on a path to a head variable extends the
-//     network with C[r] and binds the target to the new tape;
-//   * an atom whose target leads to no head variable becomes a qualifier
-//     (its whole subtree is folded into nested rpeq qualifiers);
-//   * every head variable gets its own output transducer (multiple sinks);
-//   * sibling head-path branches additionally qualify each other
-//     (sibling-existence qualifiers), giving full conjunctive semantics for
-//     multi-head queries — Fig. 16 leaves this implicit because its example
-//     has a single head path.
+// `Root` is the special variable bound to the document root.  The atom
+// graph must be a tree rooted at Root (paper §VII).  Projected on one head
+// variable H, such a query is an rpeq, so CompileConjunctive translates it
+// into one rpeq per head and the query runs as a SpexEngine population
+// (their shared steps merge by CSE):
+//   * the rpeq walks H's chain of atoms from Root;
+//   * every variable on the chain, and H itself, is qualified first by its
+//     branches that lead to no head variable, then by its head-path siblings
+//     (conjunctive semantics for multi-head queries), each branch's whole
+//     subtree folded into nested qualifiers;
+//   * a qualifier on Root is written ()[q].
+// For the example above this yields _*.a[b].c.  The results equal those of
+// the network of Fig. 16's translation T.
 //
-// Restrictions (as in the paper): the atom graph must be a tree rooted at
-// Root — identity-based joins (a variable reachable via two distinct paths)
-// are future work in the paper and rejected here with an error.
+// Restrictions (as in the paper): identity-based joins (a variable reachable
+// via two distinct paths) are future work in the paper and rejected here
+// with an error, except joins of Root paths, which desugar to '&'.
 
 #ifndef SPEX_CQ_CONJUNCTIVE_H_
 #define SPEX_CQ_CONJUNCTIVE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/status.h"
 #include "rpeq/ast.h"
-#include "spex/compiler.h"
 #include "spex/engine.h"
 
 namespace spex {
@@ -63,36 +64,15 @@ CqParseResult ParseConjunctiveQuery(std::string_view input);
 std::unique_ptr<ConjunctiveQuery> MustParseConjunctiveQuery(
     std::string_view input);
 
-// A compiled conjunctive query: one network, one sink per head variable.
-class ConjunctiveEngine : public EventSink {
- public:
-  // `sinks[i]` receives the results bound to query.head[i].  Both the query
-  // and the sinks must outlive the engine.  On failure (join / unknown
-  // variable / cyclic graph) ok() is false and error() says why.
-  ConjunctiveEngine(const ConjunctiveQuery& query,
-                    const std::vector<ResultSink*>& sinks,
-                    EngineOptions options = {});
-  ~ConjunctiveEngine() override;
+// Translates `query` into one rpeq per head variable, in head order.
+// kMalformedInput when the atom graph is not a tree rooted at Root (general
+// identity join, undefined or unreachable variable, Root as head).
+StatusOr<std::vector<ExprPtr>> CompileConjunctive(
+    const ConjunctiveQuery& query);
 
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  void OnEvent(const StreamEvent& event) override;
-
-  Network& network() { return network_; }
-
- private:
-  std::string error_;
-  std::unique_ptr<RunContext> context_;
-  Network network_;
-  int input_node_ = -1;
-  std::vector<OutputTransducer*> outputs_;
-  // Reusable one-message sweep buffer (Network::DeliverBatch).
-  std::vector<Message> sweep_;
-};
-
-// One-shot convenience: evaluates a conjunctive query over an event stream;
-// returns, per head variable, the serialized result fragments.
+// One-shot convenience: evaluates a conjunctive query over an event stream
+// as one SpexEngine population; returns, per head variable, the serialized
+// result fragments.
 std::vector<std::vector<std::string>> EvaluateConjunctive(
     const ConjunctiveQuery& query, const std::vector<StreamEvent>& events,
     std::string* error = nullptr);

@@ -163,12 +163,8 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
         base.batch_size > 1 ? static_cast<size_t>(base.batch_size) : 1;
     const StreamEvent* events = batch->data();
     const size_t total = batch->size();
-    if (step <= 1) {
-      for (size_t i = 0; i < total; ++i) target->OnEvent(events[i]);
-    } else {
-      for (size_t i = 0; i < total; i += step) {
-        target->OnEventBatch(events + i, std::min(step, total - i));
-      }
+    for (size_t i = 0; i < total; i += step) {
+      target->OnEventBatch(events + i, std::min(step, total - i));
     }
   } catch (const std::exception& e) {
     // Exception barrier: a bug in this session must not take down the

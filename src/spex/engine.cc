@@ -154,54 +154,37 @@ void SpexEngine::Finalize() {
 }
 
 void SpexEngine::OnEvent(const StreamEvent& event) {
-  assert(finalized_ && "Finalize() before feeding events");
-  // The resource governor costs this one branch when disabled (DESIGN.md
-  // §10), mirroring the observability contract below.
-  if (!guarded_) [[likely]] {
-    DeliverEventBatch(&event, 1);
-    return;
-  }
-  GuardedOnEvent(event);
+  OnEventBatch(&event, 1);
 }
 
 void SpexEngine::OnEventBatch(const StreamEvent* events, size_t count) {
   assert(finalized_ && "Finalize() before feeding events");
   if (count == 0) return;
-  // One null-check per *batch* when no controller is attached; with one, a
-  // thread-local increment and a relaxed load (see obs/sampling_profiler.h).
-  // Never on the per-event OnEvent path.
-  if (sampler_ctl_ != nullptr && sampler_ctl_->ShouldSample()) [[unlikely]] {
-    SampleBatch(events, count);
-    return;
+  // The sampling draw: one null-check per call when no controller is
+  // attached; with one, a thread-local increment and a relaxed load (see
+  // obs/sampling_profiler.h).  A winning call is swept with the engine's
+  // instrument attached — exactly what a full profile records for it —
+  // unless every sweep is timed already.
+  const bool sampled = sampler_ctl_ != nullptr &&
+                       sampler_ctl_->ShouldSample() && !instrumented();
+  if (sampled) [[unlikely]] {
+    if (profiler_ == nullptr) {
+      profiler_ = std::make_unique<obs::ProfileAccumulator>(
+          compiled_.network.node_count());
+    }
+    compiled_.network.SetInstrument(profiler_.get());
   }
-  OnEventBatchUnsampled(events, count);
-}
-
-void SpexEngine::SampleBatch(const StreamEvent* events, size_t count) {
-  if (instrumented()) {
-    // Every sweep is already timed; sampling on top would count nothing new.
-    OnEventBatchUnsampled(events, count);
-    return;
-  }
-  if (profiler_ == nullptr) {
-    profiler_ = std::make_unique<obs::ProfileAccumulator>(
-        compiled_.network.node_count());
-  }
-  // The instrument attached for this one batch: exactly what a full profile
-  // records for it.
-  compiled_.network.SetInstrument(profiler_.get());
-  OnEventBatchUnsampled(events, count);
-  compiled_.network.SetInstrument(nullptr);
-  ++sampled_batches_;
-}
-
-void SpexEngine::OnEventBatchUnsampled(const StreamEvent* events,
-                                       size_t count) {
+  // The resource governor costs this one branch when disabled (DESIGN.md
+  // §10), mirroring the observability contract in Sweep.
   if (!guarded_) [[likely]] {
     DeliverEventBatch(events, count);
-    return;
+  } else {
+    GovernedBatch(events, count);
   }
-  GuardedBatch(events, count);
+  if (sampled) [[unlikely]] {
+    compiled_.network.SetInstrument(nullptr);
+    ++sampled_batches_;
+  }
 }
 
 void SpexEngine::FlushOutputs() {
@@ -218,9 +201,24 @@ void SpexEngine::DeliverEventBatch(const StreamEvent* events, size_t count) {
 
 size_t SpexEngine::Sweep(const StreamEvent* events, size_t count) {
   // Zero-copy delivery: each message borrows its event, which outlives the
-  // sweep.
-  const size_t n = context_->BuildSweep(
-      events, std::min(count, sweep_events_), &message_batch_);
+  // sweep.  Labels a parser did not stamp are interned here, so the label
+  // transducers always take the integer fast path.  A sweep ends just past
+  // </$>: the output transducers flush before anything that bogusly
+  // follows it.
+  count = std::min(count, sweep_events_);
+  message_batch_.clear();
+  message_batch_.reserve(count);
+  SymbolTable* symbols = context_->symbol_table();
+  size_t n = 0;
+  while (n < count) {
+    const StreamEvent& e = events[n++];
+    Message m = Message::DocumentRef(e);
+    if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
+      m.symbol = symbols->Intern(e.name);
+    }
+    message_batch_.push_back(std::move(m));
+    if (e.kind == EventKind::kEndDocument) break;
+  }
   const bool saw_end = events[n - 1].kind == EventKind::kEndDocument;
   events_processed_ += static_cast<int64_t>(n);
   // Observability costs this one branch when disabled (DESIGN.md §7).
@@ -242,105 +240,89 @@ size_t SpexEngine::Sweep(const StreamEvent* events, size_t count) {
     document_ended_ = true;
     FlushOutputs();
   }
-  context_->EndRound();
+  // The sweep has fully propagated: with eager updates, formulas referring
+  // to a retired variable were rewritten while its determination travelled,
+  // so the binding can go (lazy mode and order axes keep every binding).
+  RunContext& context = *context_;
+  if (context.options.eager_formula_update && context.allow_variable_gc &&
+      !context.retired_variables.empty()) {
+    for (VarId v : context.retired_variables) context.assignment.Erase(v);
+    context.retired_variables.clear();
+  }
   return n;
 }
 
-void SpexEngine::GuardedBatch(const StreamEvent* events, size_t count) {
+void SpexEngine::GovernedBatch(const StreamEvent* events, size_t count) {
   if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
   const EngineLimits& limits = context_->options.limits;
-  // The byte post-limits sample occupancy after every event; batching would
-  // coarsen the breach point, so those runs keep exact per-event checks.
-  if (limits.max_buffered_bytes > 0 || limits.max_formula_bytes > 0) {
-    for (size_t i = 0; i < count; ++i) GuardedOnEvent(events[i]);
-    return;
-  }
-  if (limits.deadline_ms > 0 && std::chrono::steady_clock::now() > deadline_) {
-    FailRun(Status::DeadlineExceeded(
-        "deadline_ms exceeded (" + std::to_string(limits.deadline_ms) + ")"));
-    return;
-  }
-  // Per-event pre-checks build the admissible prefix, exactly the events a
-  // per-event run would have delivered before the breach.
-  Status breach;
-  size_t admitted = 0;
-  for (; admitted < count; ++admitted) {
-    const StreamEvent& e = events[admitted];
-    if (limits.max_events > 0 &&
-        events_processed_ + static_cast<int64_t>(admitted) >=
-            limits.max_events) {
-      breach = Status::ResourceExhausted(
-          "max_events exceeded (" + std::to_string(limits.max_events) + ")");
-      break;
-    }
-    if (e.kind == EventKind::kStartElement) {
-      if (limits.max_depth > 0 &&
-          static_cast<int>(open_path_.size()) >= limits.max_depth) {
-        breach = Status::ResourceExhausted(
-            "max_depth exceeded (" + std::to_string(limits.max_depth) + ")");
-        break;
-      }
-      open_path_.push_back(e.label != kNoSymbol
-                               ? e.label
-                               : context_->symbol_table()->Intern(e.name));
-    } else if (e.kind == EventKind::kEndElement && !open_path_.empty()) {
-      open_path_.pop_back();
-    }
-  }
-  if (admitted > 0) DeliverEventBatch(events, admitted);
-  if (admitted < count) FailRun(std::move(breach));
-}
-
-void SpexEngine::GuardedOnEvent(const StreamEvent& event) {
-  if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
-  const EngineLimits& limits = context_->options.limits;
-  // Pre-checks reject the event *before* tracking it, so open_path_ always
-  // matches what the network actually saw.
-  if (limits.max_events > 0 && events_processed_ >= limits.max_events) {
-    FailRun(Status::ResourceExhausted(
-        "max_events exceeded (" + std::to_string(limits.max_events) + ")"));
-    return;
-  }
-  if (limits.deadline_ms > 0 && (events_processed_ & 255) == 0 &&
+  // At most one clock read per call, and one per 256 events for a run fed
+  // one event per call.
+  if (limits.deadline_ms > 0 &&
+      (count > 1 || (events_processed_ & 255) == 0) &&
       std::chrono::steady_clock::now() > deadline_) {
     FailRun(Status::DeadlineExceeded(
         "deadline_ms exceeded (" + std::to_string(limits.deadline_ms) + ")"));
     return;
   }
-  if (event.kind == EventKind::kStartElement) {
-    if (limits.max_depth > 0 &&
-        static_cast<int>(open_path_.size()) >= limits.max_depth) {
-      FailRun(Status::ResourceExhausted(
-          "max_depth exceeded (" + std::to_string(limits.max_depth) + ")"));
-      return;
+  // The byte limits sample occupancy after every event; batching would
+  // coarsen the breach point, so those runs deliver one event at a time.
+  const bool post_checks =
+      limits.max_buffered_bytes > 0 || limits.max_formula_bytes > 0;
+  Status breach;
+  while (count > 0 && breach.ok()) {
+    // Per-event pre-checks build the admissible prefix: exactly the events
+    // a per-event run would deliver before the breach.  An event is
+    // rejected before it is tracked, so open_path_ always matches what the
+    // network actually saw.
+    const size_t span = post_checks ? 1 : count;
+    size_t admitted = 0;
+    for (; admitted < span; ++admitted) {
+      const StreamEvent& e = events[admitted];
+      if (limits.max_events > 0 &&
+          events_processed_ + static_cast<int64_t>(admitted) >=
+              limits.max_events) {
+        breach = Status::ResourceExhausted(
+            "max_events exceeded (" + std::to_string(limits.max_events) + ")");
+        break;
+      }
+      if (e.kind == EventKind::kStartElement) {
+        if (limits.max_depth > 0 &&
+            static_cast<int>(open_path_.size()) >= limits.max_depth) {
+          breach = Status::ResourceExhausted(
+              "max_depth exceeded (" + std::to_string(limits.max_depth) + ")");
+          break;
+        }
+        open_path_.push_back(e.label != kNoSymbol
+                                 ? e.label
+                                 : context_->symbol_table()->Intern(e.name));
+      } else if (e.kind == EventKind::kEndElement && !open_path_.empty()) {
+        open_path_.pop_back();
+      }
     }
-    open_path_.push_back(event.label != kNoSymbol
-                             ? event.label
-                             : context_->symbol_table()->Intern(event.name));
-  } else if (event.kind == EventKind::kEndElement && !open_path_.empty()) {
-    open_path_.pop_back();
+    if (admitted > 0) DeliverEventBatch(events, admitted);
+    events += admitted;
+    count -= admitted;
+    // Post-checks: memory the event's delivery actually pinned.  Skipped
+    // once the stream completed — after end-document the run already
+    // flushed and decided everything, and the thread-shared formula arena
+    // may still hold *other* sessions' live nodes, which must not fail a
+    // finished run.
+    if (!post_checks || !breach.ok() || document_ended_) continue;
+    if (limits.max_buffered_bytes > 0 &&
+        buffered_bytes() > limits.max_buffered_bytes) {
+      breach = Status::ResourceExhausted(
+          "max_buffered_bytes exceeded (" +
+          std::to_string(limits.max_buffered_bytes) + ")");
+    } else if (limits.max_formula_bytes > 0 &&
+               Formula::GetPoolStats().live *
+                       static_cast<int64_t>(sizeof(internal::FormulaNode)) >
+                   limits.max_formula_bytes) {
+      breach = Status::ResourceExhausted(
+          "max_formula_bytes exceeded (" +
+          std::to_string(limits.max_formula_bytes) + ")");
+    }
   }
-  DeliverEventBatch(&event, 1);
-  // Post-checks: memory the event's delivery actually pinned.  Skipped once
-  // the stream completed — after end-document the run already flushed and
-  // decided everything, and the thread-shared formula arena may still hold
-  // *other* sessions' live nodes, which must not fail a finished run.
-  if (document_ended_) return;
-  if (limits.max_buffered_bytes > 0 &&
-      buffered_bytes() > limits.max_buffered_bytes) {
-    FailRun(Status::ResourceExhausted(
-        "max_buffered_bytes exceeded (" +
-        std::to_string(limits.max_buffered_bytes) + ")"));
-    return;
-  }
-  if (limits.max_formula_bytes > 0 &&
-      Formula::GetPoolStats().live *
-              static_cast<int64_t>(sizeof(internal::FormulaNode)) >
-          limits.max_formula_bytes) {
-    FailRun(Status::ResourceExhausted(
-        "max_formula_bytes exceeded (" +
-        std::to_string(limits.max_formula_bytes) + ")"));
-  }
+  if (!breach.ok()) FailRun(std::move(breach));
 }
 
 void SpexEngine::FailRun(Status status) {
@@ -528,16 +510,11 @@ const TransducerTrace* SpexEngine::trace(const std::string& name) const {
 
 namespace {
 
-// Shared feeding loop of the one-shot helpers: batched at the configured
-// granularity (1 = per event), which also routes every helper-driven test
-// through the batch path on batchable queries.
+// Shared feeding loop of the one-shot helpers, batched at the configured
+// granularity (1 = per event).
 void FeedAll(SpexEngine* engine, const std::vector<StreamEvent>& events,
              int batch_size) {
-  if (batch_size <= 1) {
-    for (const StreamEvent& e : events) engine->OnEvent(e);
-    return;
-  }
-  const size_t step = static_cast<size_t>(batch_size);
+  const size_t step = batch_size > 1 ? static_cast<size_t>(batch_size) : 1;
   for (size_t i = 0; i < events.size(); i += step) {
     engine->OnEventBatch(events.data() + i,
                          std::min(step, events.size() - i));

@@ -49,7 +49,7 @@ class SamplingProfiler;
 struct RunStats {
   // Number of transducers in the compiled network (Def. 3 degree + IN + OU).
   int network_degree = 0;
-  // Document messages fed through OnEvent so far.
+  // Document messages delivered to the network so far.
   int64_t events_processed = 0;
   // Peak depth-stack entries over all transducers; bounded by the document
   // depth d (§V: space O(d) per transducer).
@@ -75,7 +75,7 @@ struct RunStats {
 // One engine for one query or a population of K queries (DESIGN.md §14):
 // the hash-consed step DAG of StepGraph with one output collector per
 // query.  A single query is the population of one.
-class SpexEngine : public EventSink {
+class SpexEngine final : public EventSink {
  public:
   // An empty population: AddQuery each member, then Finalize().
   explicit SpexEngine(EngineOptions options = {});
@@ -112,31 +112,34 @@ class SpexEngine : public EventSink {
   void Finalize();
   bool finalized() const { return finalized_; }
 
-  // Feeds one document message through the network.  On kEndDocument the
-  // output transducers are flushed and all remaining candidates decided.
-  //
-  // Resource governance (DESIGN.md §10): when EngineOptions::limits is set,
-  // every event passes the governor first; a breached limit poisons the run
-  // (status() becomes kResourceExhausted / kDeadlineExceeded) and every
-  // further event is dropped.  Call FinalizeTruncated() to seal the stream
-  // and harvest the partial result.  With limits unset and
-  // track_open_elements off this costs exactly one predictable branch.
+  // Feeds one document message: exactly OnEventBatch(&event, 1).  On
+  // kEndDocument the output transducers are flushed and all remaining
+  // candidates decided.
   void OnEvent(const StreamEvent& event) override;
 
-  // Batched feeding (DESIGN.md §11): processes `count` consecutive document
-  // messages.  Results, statuses and counters are identical to `count`
-  // OnEvent calls at any batch size; the difference is cost.  Every event
-  // reaches the network through Network::DeliverBatch.  A network without
-  // condition variables (CompiledNetwork::batchable) takes the whole batch
-  // in one sweep, with one virtual dispatch and one stats flush per
-  // transducer, governed or instrumented or not; qualifier / preceding-axis
-  // networks sweep one event at a time, and runs with byte limits feed one
-  // event at a time so the limits are checked after every event.  The
-  // events must outlive the call (zero-copy borrowing at batch scope).
+  // Feeds `count` consecutive document messages (DESIGN.md §11).  Results,
+  // statuses and counters are identical at any split of the stream into
+  // calls (a wall-clock deadline aside); the difference is cost.  Every event reaches the network through
+  // Network::DeliverBatch.  A network without condition variables
+  // (CompiledNetwork::batchable) takes the whole call in one sweep, with one
+  // virtual dispatch and one stats flush per transducer; qualifier /
+  // preceding-axis networks sweep one event at a time.  The events must
+  // outlive the call (zero-copy borrowing at call scope).
+  //
+  // Resource governance (DESIGN.md §10): when EngineOptions::limits is set,
+  // per-event pre-checks (max_events, max_depth) admit the prefix a breach
+  // leaves, which is delivered before the breach poisons the run (status()
+  // becomes kResourceExhausted / kDeadlineExceeded) and every further event
+  // is dropped.  Runs with byte limits deliver one event at a time and check
+  // occupancy after each.  The deadline costs at most one clock read per
+  // call, and one per 256 events for one-event calls.  Call
+  // FinalizeTruncated() to seal the stream and harvest the partial result.
+  // With limits unset and track_open_elements off this costs exactly one
+  // predictable branch per call.
   void OnEventBatch(const StreamEvent* events, size_t count) override;
 
   // kOk while the run is healthy; the breach status once the governor
-  // tripped.  A poisoned engine ignores further OnEvent calls.
+  // tripped.  A poisoned engine ignores further events.
   const Status& status() const { return status_; }
 
   // Seals an incomplete stream: virtually closes every open element (end
@@ -202,14 +205,13 @@ class SpexEngine : public EventSink {
   obs::ProfileReport Profile() const;
 
   // Always-on statistical sampling (DESIGN.md §13): with a controller
-  // attached, each OnEventBatch call draws once and the ~1/period batches
-  // that win are swept with the engine's instrument attached, which brackets
-  // every node batch of their sweeps — continuous attribution in Profile()
-  // at a fraction of options.profile's cost.  The controller is shared
-  // (typically pool-wide) and must outlive the engine; options.profile and
-  // observe=full take precedence, since every sweep is already timed then.
-  // The per-event OnEvent path never samples: sampling is batch-granular by
-  // design (the draw must stay off the per-event hot path).
+  // attached, each feeding call (OnEventBatch, and OnEvent as a call of one
+  // event) draws once and the ~1/period calls that win are swept with the
+  // engine's instrument attached, which brackets every node batch of their
+  // sweeps — continuous attribution in Profile() at a fraction of
+  // options.profile's cost.  The controller is shared (typically pool-wide)
+  // and must outlive the engine; options.profile and observe=full take
+  // precedence, since every sweep is already timed then.
   void SetBatchSampler(obs::SamplingProfiler* sampler) {
     sampler_ctl_ = sampler;
   }
@@ -231,14 +233,15 @@ class SpexEngine : public EventSink {
   }
 
   // Progress watermarks.  Configured callbacks (EngineOptions::progress)
-  // fire from OnEvent every N events / M bytes; CurrentWatermark() computes
-  // the same report on demand (examples/stream_monitor polls it).  The
-  // reported rate is measured since the previous watermark (from either
+  // fire from the sweeps every N events / M bytes; CurrentWatermark()
+  // computes the same report on demand (examples/stream_monitor polls it).
+  // The reported rate is measured since the previous watermark (from either
   // path).  `bytes` is 0 unless a byte source was attached.
   Watermark CurrentWatermark() const;
   // Attaches the stream-byte source used by Watermark::bytes and the
   // every_bytes trigger — typically [&parser] { return parser.bytes_consumed(); }.
-  // The callable must outlive the engine's last OnEvent/CurrentWatermark.
+  // The callable must outlive the engine's last feeding call or
+  // CurrentWatermark.
   void set_progress_bytes_source(std::function<int64_t()> source) {
     progress_bytes_source_ = std::move(source);
   }
@@ -246,7 +249,7 @@ class SpexEngine : public EventSink {
   Network& network() { return compiled_.network; }
   RunContext& context() { return *context_; }
   // The run's label symbols.  A parser configured with this table stamps
-  // events so OnEvent skips interning entirely (see EvaluateXml); events
+  // events so feeding skips interning entirely (see EvaluateXml); events
   // arriving unstamped are interned on entry.
   SymbolTable* symbol_table() { return context_->symbol_table(); }
 
@@ -262,23 +265,13 @@ class SpexEngine : public EventSink {
   bool instrumented() const {
     return context_->options.profile || trace_recorder() != nullptr;
   }
-  // OnEventBatch after the sampling draw.
-  void OnEventBatchUnsampled(const StreamEvent* events, size_t count);
-  // Sampled batch: delivery with profiler_ attached.
-  void SampleBatch(const StreamEvent* events, size_t count);
-  // Governed per-event path: limit checks + open-path tracking around
-  // one-event delivery.  Entered only when guarded_ (limits or tracking on).
-  void GuardedOnEvent(const StreamEvent& event);
   // Ungoverned delivery: splits the events into network sweeps.
   void DeliverEventBatch(const StreamEvent* events, size_t count);
   // One network sweep over a prefix of the events: up to sweep_events_ of
   // them, ending early after an end-document.  Returns the prefix length.
   size_t Sweep(const StreamEvent* events, size_t count);
-  // Governed batch path: per-event pre-checks (max_events / max_depth /
-  // open-path tracking) build an admissible prefix, which is delivered as
-  // one batch before any breach poisons the run — so exactly the events a
-  // per-event run would have processed are processed.
-  void GuardedBatch(const StreamEvent* events, size_t count);
+  // Governed delivery (limits or open-path tracking on): see OnEventBatch.
+  void GovernedBatch(const StreamEvent* events, size_t count);
   // Poisons the run and freezes the certain-result boundaries.
   void FailRun(Status status);
   void FreezeCertainResults();
@@ -308,7 +301,7 @@ class SpexEngine : public EventSink {
   obs::SamplingProfiler* sampler_ctl_ = nullptr;
   int64_t sampled_batches_ = 0;
   int64_t events_processed_ = 0;
-  // True when OnEvent must take the governed path (limits configured or
+  // True when feeding must take the governed path (limits configured or
   // track_open_elements): the unguarded hot path tests exactly this flag.
   bool guarded_ = false;
   // Most events one network sweep may carry: 1 for a network with condition

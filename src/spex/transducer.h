@@ -361,20 +361,6 @@ struct RunContext {
     return options.symbols != nullptr ? options.symbols : &owned_symbols_;
   }
 
-  // The round rule every engine driving a network shares.  BuildSweep fills
-  // *batch with the document messages of events[0, n) — zero-copy borrows,
-  // with labels a parser did not stamp interned here so the label
-  // transducers always take the integer fast path — and returns n: `count`,
-  // or the position just past </$> (a sweep ends there; the output
-  // transducers flush before anything that bogusly follows it).
-  size_t BuildSweep(const StreamEvent* events, size_t count,
-                    std::vector<Message>* batch);
-  // After a sweep has fully propagated: with eager updates, formulas
-  // referring to a retired variable were rewritten while its determination
-  // travelled, so the binding can go (lazy mode and order axes keep every
-  // binding).
-  void EndRound();
-
  private:
   SymbolTable owned_symbols_;
 };

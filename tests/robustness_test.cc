@@ -389,6 +389,154 @@ TEST(GovernorTest, FinalizeTruncatedMatchesClosedWorldOracle) {
   }
 }
 
+// What a governed run leaves behind: its breach, how far it got, and its
+// results once sealed.
+struct GovernedOutcome {
+  Status status;
+  int64_t events_processed = 0;
+  int64_t certain = 0;
+  std::vector<std::string> results;
+};
+
+// Runs `query` under `options` fed per event (batch == 0, OnEvent) or in
+// OnEventBatch calls of `batch` events, then seals it.
+GovernedOutcome RunGoverned(const Expr& query,
+                            const std::vector<StreamEvent>& events,
+                            const EngineOptions& options, size_t batch) {
+  SerializingResultSink sink;
+  SpexEngine engine(query, &sink, options);
+  if (options.limits.deadline_ms > 0) {
+    // An expired deadline: the run must breach on its first call.
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(2 * options.limits.deadline_ms));
+  }
+  if (batch == 0) {
+    for (const StreamEvent& event : events) engine.OnEvent(event);
+  } else {
+    for (size_t i = 0; i < events.size(); i += batch) {
+      engine.OnEventBatch(events.data() + i,
+                          std::min(batch, events.size() - i));
+    }
+  }
+  GovernedOutcome out;
+  out.status = engine.status();
+  out.events_processed = engine.events_processed();
+  out.certain = engine.certain_result_count();
+  engine.FinalizeTruncated();
+  out.results = sink.results();
+  return out;
+}
+
+// Batched governed runs breach at exactly the event a per-event run does,
+// for every limit: same status, same consumed prefix, same certain results
+// and the same sealed results.
+TEST(GovernorTest, BatchedRunsBreachLikePerEventRuns) {
+  const std::vector<StreamEvent> events = RandomDoc(5, 150);
+  std::vector<std::pair<const char*, EngineLimits>> limit_cases;
+  EngineLimits limits;
+  limits.max_events = static_cast<int64_t>(events.size() / 2);
+  limit_cases.push_back({"max_events", limits});
+  int depth = 0;
+  int doc_depth = 0;
+  for (const StreamEvent& event : events) {
+    if (event.kind == EventKind::kStartElement) {
+      doc_depth = std::max(doc_depth, ++depth);
+    } else if (event.kind == EventKind::kEndElement) {
+      --depth;
+    }
+  }
+  limits = EngineLimits{};
+  limits.max_depth = doc_depth - 1;  // trips at the first deepest element
+  limit_cases.push_back({"max_depth", limits});
+  limits = EngineLimits{};
+  limits.max_buffered_bytes = 96;
+  limit_cases.push_back({"max_buffered_bytes", limits});
+  limits = EngineLimits{};
+  limits.max_formula_bytes = 64;
+  limit_cases.push_back({"max_formula_bytes", limits});
+  limits = EngineLimits{};
+  limits.deadline_ms = 1;
+  limit_cases.push_back({"deadline_ms", limits});
+  const std::pair<const char*, bool> queries[] = {{"_*.a[b].c", true},
+                                                  {"_*.b", false}};
+  for (const auto& [query_text, qualifier] : queries) {
+    ExprPtr query = MustParseRpeq(query_text);
+    for (const auto& [limit_name, limit] : limit_cases) {
+      SCOPED_TRACE(std::string(query_text) + " under " + limit_name);
+      EngineOptions options;
+      options.limits = limit;
+      const GovernedOutcome per_event = RunGoverned(*query, events, options, 0);
+      for (size_t batch : {1, 7, 64}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        const GovernedOutcome batched =
+            RunGoverned(*query, events, options, batch);
+        EXPECT_EQ(batched.status, per_event.status);
+        EXPECT_EQ(batched.events_processed, per_event.events_processed);
+        EXPECT_EQ(batched.certain, per_event.certain);
+        EXPECT_EQ(batched.results, per_event.results);
+      }
+      // The qualifier query trips every limit partway through.
+      if (qualifier) {
+        EXPECT_FALSE(per_event.status.ok());
+      }
+    }
+  }
+}
+
+// A conjunctive query is a SpexEngine population, so it runs governed: a
+// two-head CQ breaching max_events partway through seals, per head, to
+// exactly the oracle's evaluation of the consumed prefix, and the results
+// certain at the breach are the first results of the full run.
+TEST(GovernorTest, ConjunctiveQueryUnderMaxEvents) {
+  auto cq = MustParseConjunctiveQuery(
+      "q(X2,X3) :- Root(_*.a) X1, X1(b) X2, X1(c) X3");
+  StatusOr<std::vector<ExprPtr>> heads = CompileConjunctive(*cq);
+  ASSERT_TRUE(heads.ok()) << heads.status().message();
+  ASSERT_EQ(heads->size(), 2u);
+  int64_t certain_total = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<StreamEvent> events = RandomDoc(seed, 120);
+    std::string error;
+    const std::vector<std::vector<std::string>> full =
+        EvaluateConjunctive(*cq, events, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    for (const size_t cut : {events.size() / 3, 2 * events.size() / 3}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " cut at " +
+                   std::to_string(cut));
+      EngineOptions options;
+      options.limits.max_events = static_cast<int64_t>(cut);
+      std::vector<SerializingResultSink> sinks(heads->size());
+      SpexEngine engine(options);
+      for (size_t h = 0; h < heads->size(); ++h) {
+        ASSERT_TRUE(engine.AddQuery(*(*heads)[h], &sinks[h]).ok());
+      }
+      engine.Finalize();
+      engine.OnEventBatch(events.data(), events.size());
+      EXPECT_EQ(engine.status().code(), StatusCode::kResourceExhausted);
+      ASSERT_EQ(engine.events_processed(), options.limits.max_events);
+      engine.FinalizeTruncated();
+      const std::vector<StreamEvent> consumed(
+          events.begin(), events.begin() + static_cast<ptrdiff_t>(cut));
+      for (size_t h = 0; h < heads->size(); ++h) {
+        SCOPED_TRACE("head " + cq->head[h] + " = " + (*heads)[h]->ToString());
+        const std::vector<std::string>& got = sinks[h].results();
+        EXPECT_EQ(got, OracleFor(*(*heads)[h], consumed));
+        const int64_t certain =
+            engine.certain_result_count(static_cast<int>(h));
+        ASSERT_LE(certain, static_cast<int64_t>(got.size()));
+        ASSERT_LE(certain, static_cast<int64_t>(full[h].size()));
+        for (int64_t i = 0; i < certain; ++i) {
+          EXPECT_EQ(got[static_cast<size_t>(i)],
+                    full[h][static_cast<size_t>(i)]);
+        }
+        certain_total += certain;
+      }
+    }
+  }
+  // Some runs had results out before the breach.
+  EXPECT_GT(certain_total, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection
 

@@ -75,6 +75,22 @@ done
 rm -rf "$trace_dir"
 echo "tier1: trace-out smoke OK"
 
+# Conjunctive-query smoke (paper §VII): the MONDIAL example runs a two-head
+# CQ as one engine population; it must exit 0 and report a non-zero count
+# for the head N.
+cq_out="$("$binary_dir/examples/geo_mondial" 2>&1)" || {
+  echo "tier1: geo_mondial smoke failed:" >&2
+  echo "$cq_out" >&2
+  exit 1
+}
+echo "$cq_out" | grep -q 'a conjunctive query with two heads' &&
+  echo "$cq_out" | grep -qE '^  N \(.*\): [1-9][0-9]*$' || {
+  echo "tier1: geo_mondial smoke missing the two-head CQ block:" >&2
+  echo "$cq_out" >&2
+  exit 1
+}
+echo "tier1: conjunctive-query smoke OK"
+
 # Concurrent-runtime smoke: fan the bundled example document across a small
 # engine pool and check the serving summary (under asan/tsan this also puts
 # the worker queues and the shared query cache through sanitized traffic).
